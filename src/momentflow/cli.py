@@ -132,12 +132,13 @@ def _validate(cfg: dict) -> None:
     for key in ("m", "omega", "hbar", "rtol", "atol"):
         if not isinstance(cfg[key], (int, float)) or cfg[key] < 0:
             raise ConfigError(f"{key} must be a non-negative number")
-    if cfg["n_max"] < 2:
-        raise ConfigError("n_max must be at least 2")
+    if cfg["hbar"] == 0:
+        raise ConfigError("hbar must be positive")
+    for key in ("n_max", "samples"):
+        if not isinstance(cfg[key], int) or isinstance(cfg[key], bool) or cfg[key] < 2:
+            raise ConfigError(f"{key} must be an integer of at least 2, got {cfg[key]!r}")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
-    if cfg["samples"] < 2:
-        raise ConfigError("samples must be at least 2")
 
 
 def _cap_threads() -> None:
@@ -368,9 +369,12 @@ def cmd_compare(cfg: dict) -> int:
             print(f"warning: oracle truncation tail {tail:.2e} at t={t:.3g}; "
                   "errors beyond this time are unreliable", file=sys.stderr)
             tail_warned = True
-        st = orc.moments_of(psi, space, 2)
-        for lbl, val in [("q", st.x["q"]), ("p", st.x["p"]),
-                         ("G_0_2", st.G(0, 2)), ("G_1_2", st.G(1, 2)), ("G_2_2", st.G(2, 2))]:
+        # second moments from q psi and p psi; the Weyl-ordered qp is Re <q psi, p psi>
+        qpsi, ppsi = space.q1 @ psi, space.p1 @ psi
+        q, p = np.vdot(psi, qpsi).real, np.vdot(psi, ppsi).real
+        for lbl, val in [("q", q), ("p", p), ("G_0_2", np.vdot(qpsi, qpsi).real - q * q),
+                         ("G_1_2", np.vdot(qpsi, ppsi).real - q * p),
+                         ("G_2_2", np.vdot(ppsi, ppsi).real - p * p)]:
             ref.setdefault(lbl, []).append(val)
 
     HQ = expand_quantum_hamiltonian(model, cfg["n_max"])

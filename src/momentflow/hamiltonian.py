@@ -26,6 +26,7 @@ from .moment_algebra import (
     MomentIndex,
     MomentPolynomial,
     SemiclassicalState,
+    _potential_order,
     bracket_general,
     moment_indices,
 )
@@ -264,54 +265,54 @@ class EquationSystem:
         return SemiclassicalState(hbar, x, moments, self.n_max, pot)
 
     def compile(self, hbar: float) -> Callable[[np.ndarray], np.ndarray]:
-        """Flatten each RHS into evaluatable term lists once; no symbolic
-        work happens per step."""
-        slot = {v: i for i, v in enumerate(self.xvars)}
-        nx = len(self.xvars)
-        for i, g in enumerate(self.moment_vars):
-            slot[g] = nx + i
-        pot = self.model.potential if self.model.kind == "oscillator" else None
-        qslot = slot.get("q")
-        cosmology = self.model.kind == "cosmology"
-        pslot = slot["p"] if cosmology else None
+        """Lower all RHS terms once to arrays; return the numeric RHS f(y).
 
-        compiled = []
-        for var in self.variables:
-            terms = []
+        Term t has coefficient c[t] = coeff * hbar**h, equation eq[t] and
+        factor column idx[:, t] into z = [y, powered factors, 1.0]; a powered
+        factor is a distinct (x slot or U_k, exponent) pair, padding points at
+        the 1.0.  f fills the power slots, multiplies the rows of F = [c; z[idx]]
+        in order (coefficient, x powers, U powers, moments) and bincounts the
+        products by equation from 0.0 in sorted term order: bit for bit a
+        left-to-right loop over the terms.  f returns a fresh array but reuses
+        internal buffers, so it must not be shared across threads.
+        """
+        n, slot = len(self.variables), {v: i for i, v in enumerate(self.variables)}
+        powers: dict[tuple[str, float], int] = {}  # (symbol, exponent) -> z slot
+        xcols: dict[tuple, list[int]] = {}  # x monomial -> z slots, x powers first
+        # all factor slots in one list of ints: a list per term would wake the cyclic GC
+        coeffs, eqs, lens, flat = [], [], [], []
+        for i, var in enumerate(self.variables):
             for c, h, x, gs in self.rhs[var].terms():
-                coeff = float(c) * hbar ** float(h)
-                upows = []
-                xpows = []
-                for sym, e in x:
-                    if sym.startswith("U") and sym[1:].isdigit():
-                        upows.append((int(sym[1:]), float(e)))
-                    else:
-                        xpows.append((slot[sym], float(e)))
-                gidx = [slot[g] for g in gs]
-                terms.append((coeff, tuple(xpows), tuple(upows), tuple(gidx)))
-            compiled.append(terms)
+                xcol = xcols.get(x)
+                if xcol is None:
+                    fac = sorted(((sym, float(e)) for sym, e in x), key=lambda f: f[0] not in slot)
+                    xcol = xcols[x] = [powers.setdefault(f, n + len(powers)) for f in fac]
+                coeffs.append(float(c) * hbar ** float(h))
+                eqs.append(i)
+                lens.append(len(xcol) + len(gs))
+                flat += xcol
+                flat += [slot[g] for g in gs]
+        one, lens = n + len(powers), np.array(lens, dtype=np.intp)
+        idx = np.full((int(lens.max(initial=0)), len(eqs)), one, dtype=np.intp)
+        idx.T[np.arange(len(idx)) < lens[:, None]] = flat
+        eq, z, F = np.array(eqs, np.intp), np.ones(one + 1), np.empty((len(idx) + 1, len(eqs)))
+        F[0] = coeffs
+        xpows = [(slot[s], e, zs) for (s, e), zs in powers.items() if s in slot]
+        upows = [(_potential_order(s), e, zs) for (s, e), zs in powers.items() if s not in slot]
+        pot, qslot, uks = self.model.potential, slot.get("q"), {k for k, _, _ in upows}
+        pslot = slot["p"] if self.model.kind == "cosmology" else None
 
         def rhs_fn(y: np.ndarray) -> np.ndarray:
-            if cosmology and y[pslot] <= 0.0:
+            if pslot is not None and y[pslot] <= 0.0:
                 raise DomainError("reached p <= 0")
-            q = y[qslot] if qslot is not None else 0.0
-            uvals: dict[int, float] = {}
-            out = np.empty(len(compiled))
-            for i, terms in enumerate(compiled):
-                total = 0.0
-                for coeff, xpows, upows, gidx in terms:
-                    val = coeff
-                    for s, e in xpows:
-                        val *= y[s] ** e
-                    for k, e in upows:
-                        if k not in uvals:
-                            uvals[k] = pot.derivative(q, k)
-                        val *= uvals[k] ** e
-                    for s in gidx:
-                        val *= y[s]
-                    total += val
-                out[i] = total
-            return out
+            z[:n] = y
+            for s, e, zs in xpows:
+                z[zs] = y[s] ** e
+            u = {k: pot.derivative(y[qslot], k) for k in uks}
+            for k, e, zs in upows:
+                z[zs] = u[k] ** e
+            np.take(z, idx, out=F[1:], mode="clip")
+            return np.bincount(eq, np.multiply.reduce(F, axis=0), minlength=n)
 
         return rhs_fn
 

@@ -295,10 +295,18 @@ class MomentPolynomial:
     # -- inspection --------------------------------------------------------
 
     def terms(self):
-        """Canonically sorted (coeff, hbar_power, xmono, g_factors) tuples."""
+        """Canonically sorted (coeff, hbar_power, xmono, g_factors) tuples,
+        ordered by hbar power, x monomial, then moment factors."""
+        # rational powers scaled to integers on a common denominator order
+        # exactly as the Fractions do, but compare without Python calls
+        den = math.lcm(*(h.denominator for h, _, _ in self._terms),
+                       *(e.denominator for _, x, _ in self._terms for _, e in x))
+
         def key(item):
             (h, x, gs), _ = item
-            return (h, x, tuple(g.sort_key() for g in gs))
+            return (h.numerator * (den // h.denominator),
+                    tuple([(sym, e.numerator * (den // e.denominator)) for sym, e in x]),
+                    tuple(map(MomentIndex.sort_key, gs)))
 
         return [
             (c, h, x, gs)

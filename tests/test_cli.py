@@ -59,6 +59,25 @@ def test_missing_config_file_exits_3(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 3
 
 
+@pytest.mark.parametrize("data,key", [
+    ({"n_max": "3"}, "n_max"),
+    ({"n_max": True}, "n_max"),
+    ({"samples": 2.5}, "samples"),
+])
+def test_non_integer_config_exits_3(tmp_path, capsys, data, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_zero_hbar_exits_3(tmp_path, capsys):
+    assert cli.main(["simulate", "--hbar", "0", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and "hbar" in err and "Traceback" not in err
+
+
 def test_threads_env_invalid_exits_3(tmp_path, monkeypatch):
     monkeypatch.setenv("MOMENTFLOW_THREADS", "many")
     assert cli.main(["simulate", "--out", str(tmp_path)]) == 3

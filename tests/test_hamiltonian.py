@@ -215,6 +215,95 @@ def test_compile_callable_potential_agrees(rng):
     assert np.allclose(sys_c.compile(1.0)(y), sys_f.compile(1.0)(y), rtol=1e-12)
 
 
+# -- lowering of the compiled RHS ------------------------------------------
+
+
+def _wavy_potential():
+    # delta q^4 / 24 + eps cos q: the RHS keeps U_k symbols, q^4 alone would not
+    delta, eps = 0.3, 0.05
+
+    def derivs(q, n):
+        poly = PotentialSpec.quartic(delta).derivative(q, n)
+        return poly + eps * math.cos(q + n * math.pi / 2)
+
+    return PotentialSpec(derivs=derivs, max_order=20)
+
+
+LOWERING_CASES = [
+    (kind, n_max, closure)
+    for closure in ("zero", "gaussian-factorize")
+    for kind, n_max in (("quartic", 8), ("quartic", 12), ("callable", 6), ("cosmology", 4))
+]
+
+
+def _lowering_case(kind, n_max, closure, rng, states=20):
+    """(system, hbar, random states y) for one lowering case."""
+    H = {
+        "quartic": ClassicalHamiltonian(m=1.1, omega=0.9, potential=PotentialSpec.quartic(0.3)),
+        "callable": ClassicalHamiltonian(potential=_wavy_potential()),
+        "cosmology": ClassicalHamiltonian(kind="cosmology", gamma=0.9, kappa=1.2, E=1.0),
+    }[kind]
+    system = generate_eom(expand_quantum_hamiltonian(H, n_max), closure)
+    Y = rng.normal(scale=0.4, size=(states, len(system.variables)))
+    if kind == "cosmology":
+        Y[:, 1] = np.abs(Y[:, 1]) + 0.2  # p > 0
+    return system, 0.7, Y
+
+
+def _reference_rhs(system, hbar, y):
+    """The term loop the lowering replaces: coefficient, x powers, U powers,
+    moment factors multiplied left to right, terms summed in order from 0.0."""
+    slot = {v: i for i, v in enumerate(system.variables)}
+    out = np.empty(len(slot))
+    for i, var in enumerate(system.variables):
+        total = 0.0
+        for c, h, x, gs in system.rhs[var].terms():
+            val = float(c) * hbar ** float(h)
+            for sym, e in sorted(x, key=lambda f: f[0].startswith("U")):
+                if sym.startswith("U"):
+                    val *= system.model.potential.derivative(y[slot["q"]], int(sym[1:])) ** float(e)
+                else:
+                    val *= y[slot[sym]] ** float(e)
+            for g in gs:
+                val *= y[slot[g]]
+            total += val
+        out[i] = total
+    return out
+
+
+@pytest.mark.parametrize("kind,n_max,closure", LOWERING_CASES)
+def test_compile_matches_evaluate(kind, n_max, closure, rng):
+    system, hbar, Y = _lowering_case(kind, n_max, closure, rng)
+    if kind == "callable":
+        assert any(sym.startswith("U") for v in system.variables
+                   for _, _, x, _ in system.rhs[v].terms() for sym, _ in x)
+    rhs = system.compile(hbar)
+    for y in Y:
+        st = system.unpack(y, hbar)
+        want = np.array([system.rhs[var].evaluate(st) for var in system.variables])
+        assert np.allclose(rhs(y), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("kind,n_max,closure", LOWERING_CASES)
+def test_compile_bit_identical_to_term_loop(kind, n_max, closure, rng):
+    system, hbar, Y = _lowering_case(kind, n_max, closure, rng)
+    rhs = system.compile(hbar)
+    for y in Y:
+        assert np.array_equal(rhs(y), _reference_rhs(system, hbar, y))
+
+
+def test_compile_returns_fresh_arrays(rng):
+    # solve_ivp keeps its stage derivatives: a reused output buffer would
+    # overwrite them on the next call
+    system, hbar, Y = _lowering_case("quartic", 8, "zero", rng, states=2)
+    rhs = system.compile(hbar)
+    first = rhs(Y[0])
+    kept = first.copy()
+    second = rhs(Y[1])
+    assert first is not second and not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+
+
 def test_pack_unpack_roundtrip():
     system = _harmonic_system(3)
     moments = {g: 0.01 * i for i, g in enumerate(system.moment_vars)}
@@ -259,9 +348,10 @@ def test_cosmology_domain_guard():
     system = generate_eom(expand_quantum_hamiltonian(H, 2))
     rhs = system.compile(1.0)
     y = system.pack(SemiclassicalState(1.0, {"c": 0.1, "p": 1.0}, {G(a, 2): 0.0 for a in range(3)}, 2))
-    y[system.variables.index("p")] = -0.5
-    with pytest.raises(DomainError):
-        rhs(y)
+    for p in (0.0, -0.5):
+        y[system.variables.index("p")] = p
+        with pytest.raises(DomainError):
+            rhs(y)
     HQ = expand_quantum_hamiltonian(H, 2)
     with pytest.raises(DomainError):
         HQ.evaluate(SemiclassicalState(1.0, {"c": 0.1, "p": 0.0}, {}, 2))
