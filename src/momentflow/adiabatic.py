@@ -24,8 +24,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import AdiabaticBreakdownError, ConfigError, RangeError, StiffnessError
+from .dynamics import Trajectory, coherent_tilde_moment
 from .hamiltonian import ClassicalHamiltonian, from_dimensionless
-from .moment_algebra import MomentIndex, SemiclassicalState
+from .moment_algebra import MomentIndex, SemiclassicalState, moment_indices
 
 __all__ = [
     "AdiabaticConfig",
@@ -44,10 +45,6 @@ __all__ = [
 ]
 
 BREAKDOWN_EPS = 1e-8
-
-
-def _vacuum_constant(n: int) -> float:
-    return math.factorial(n) / (2**n * math.factorial(n // 2))
 
 
 @dataclass
@@ -76,7 +73,7 @@ class AdiabaticConfig:
     def constant(self, n: int) -> float:
         if n == 2:
             return self.C2
-        return self.Cn.get(n, _vacuum_constant(n))
+        return self.Cn.get(n, coherent_tilde_moment(0, n))
 
 
 def _checked_u(q: float, H: ClassicalHamiltonian, order: int = 2) -> list[float]:
@@ -98,12 +95,8 @@ def g0_moments(q: float, n: int, a: int, config: AdiabaticConfig, H: ClassicalHa
     if a % 2 or n % 2:
         return 0.0
     u = _checked_u(q, H, 0)[0]
-    vac = (
-        math.factorial(n - a)
-        * math.factorial(a)
-        / (2**n * math.factorial((n - a) // 2) * math.factorial(a // 2))
-    )
-    return vac * (1 + u) ** ((2 * a - n) / 4.0) * (config.constant(n) / _vacuum_constant(n))
+    vac = coherent_tilde_moment(a, n)
+    return vac * (1 + u) ** ((2 * a - n) / 4.0) * (config.constant(n) / coherent_tilde_moment(0, n))
 
 
 def g0_time_derivative(q: float, qdot: float, n: int, a: int, config: AdiabaticConfig, H: ClassicalHamiltonian) -> float:
@@ -206,8 +199,6 @@ def solve_effective(
     Adiabatic breakdown mid-run terminates cleanly with the trajectory
     flagged incomplete.
     """
-    from .dynamics import Trajectory
-
     # the terminal event fires a safety margin above the hard breakdown
     # threshold; trial steps that overshoot past it fall back to a frozen
     # acceleration so the root finder can localize the crossing
@@ -272,8 +263,6 @@ class AdiabaticEmbedding:
         self.config = config or AdiabaticConfig()
 
     def state(self, q: float, p: float, hbar: float, n_top: int) -> SemiclassicalState:
-        from .moment_algebra import moment_indices
-
         H, cfg = self.model, self.config
         m, w = H.m, H.omega
         qdot = p / m
@@ -294,8 +283,6 @@ class AdiabaticEmbedding:
         return SemiclassicalState(hbar, {"q": q, "p": p}, moments, n_top, H.potential)
 
     def flow(self, q: float, p: float, hbar: float, n_top: int) -> np.ndarray:
-        from .moment_algebra import moment_indices
-
         H, cfg = self.model, self.config
         m, w = H.m, H.omega
         qdot = p / m

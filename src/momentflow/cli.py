@@ -87,6 +87,10 @@ DEFAULTS = {
     "seed": 0,
 }
 
+#: keys that take a finite real number (``ell`` may also be null)
+REAL_KEYS = ("m", "omega", "delta", "hbar", "gamma", "kappa", "E", "g0", "g32", "g3",
+             "t0", "t1", "rtol", "atol")
+
 INITIAL_KEYS = {
     "coherent": {"kind", "q0", "p0"},
     "squeezed": {"kind", "q0", "p0", "g"},
@@ -129,33 +133,33 @@ def _validate(cfg: dict) -> None:
     unknown = set(init) - INITIAL_KEYS[init["kind"]]
     if unknown:
         raise ConfigError(f"unknown initial keys: {sorted(unknown)}")
-    for key in ("m", "omega", "hbar", "rtol", "atol"):
-        if not isinstance(cfg[key], (int, float)) or cfg[key] < 0:
-            raise ConfigError(f"{key} must be a non-negative number")
-    if cfg["hbar"] == 0:
-        raise ConfigError("hbar must be positive")
+    for key in REAL_KEYS + ("ell",):
+        if not (_is_number(cfg[key]) or (key == "ell" and cfg[key] is None)):
+            raise ConfigError(f"{key} must be a finite number, got {cfg[key]!r}")
+    for key in ("m", "omega"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be non-negative, got {cfg[key]!r}")
+    for key in ("hbar", "rtol", "atol"):
+        if cfg[key] <= 0:
+            raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
+    for key in ("q0", "p0"):
+        if key in init and not _is_number(init[key]):
+            raise ConfigError(f"initial.{key} must be a finite number, got {init[key]!r}")
     for key in ("n_max", "samples"):
-        if not isinstance(cfg[key], int) or isinstance(cfg[key], bool) or cfg[key] < 2:
+        if not _is_int(cfg[key]) or cfg[key] < 2:
             raise ConfigError(f"{key} must be an integer of at least 2, got {cfg[key]!r}")
+    if not _is_int(cfg["oracle_dim"]):
+        raise ConfigError(f"oracle_dim must be an integer, got {cfg['oracle_dim']!r}")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
 
 
-def _cap_threads() -> None:
-    val = os.environ.get("MOMENTFLOW_THREADS")
-    if not val:
-        return
-    try:
-        n = max(1, int(val))
-    except ValueError as exc:
-        raise ConfigError(f"MOMENTFLOW_THREADS must be an integer, got {val!r}") from exc
-    try:
-        import threadpoolctl
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
 
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +332,7 @@ def cmd_adiabatic(cfg: dict) -> int:
 def _oracle_setup(cfg: dict, model: ClassicalHamiltonian):
     from . import oracle as orc
 
-    D = int(cfg["oracle_dim"])
+    D = cfg["oracle_dim"]
     if D > 600:
         raise CapacityError(f"oracle dimension {D} exceeds the supported cap 600")
     m, w = cfg["m"], _reference_omega(cfg)
@@ -504,7 +508,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        _cap_threads()
         overrides = {
             "model": args.model, "out": args.out, "hbar": args.hbar,
             "n_max": args.nmax, "oracle_dim": getattr(args, "oracle_dim", None),

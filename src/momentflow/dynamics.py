@@ -18,8 +18,14 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import DomainError, RangeError, StateError, StiffnessError
-from .hamiltonian import EquationSystem, from_dimensionless
-from .moment_algebra import MomentIndex, SemiclassicalState
+from .hamiltonian import (
+    ClassicalHamiltonian,
+    EquationSystem,
+    expand_quantum_hamiltonian,
+    from_dimensionless,
+    generate_eom,
+)
+from .moment_algebra import MomentIndex, SemiclassicalState, moment_indices
 
 __all__ = [
     "Trajectory",
@@ -379,8 +385,6 @@ def cosmology_effective_rhs(params: CosmologyParams, c: float, p: float):
     inserted, and the two are expected to agree per term only up to one
     global constant (reported by the cross-validation test).
     """
-    from .hamiltonian import ClassicalHamiltonian, expand_quantum_hamiltonian, generate_eom
-
     params._check(p)
     ex = math.exp(1.5 * params.x_coord(c, p))
     gamma = params.gamma
@@ -462,8 +466,6 @@ class HarmonicCoherentEmbedding:
     def state(self, q: float, p: float, hbar: float, n_top: int) -> SemiclassicalState:
         m, w = self.model.m, self.model.omega
         moments = {}
-        from .moment_algebra import moment_indices
-
         for n in range(2, n_top + 1):
             for idx in moment_indices(n, 1):
                 a = idx.p_power
@@ -472,8 +474,6 @@ class HarmonicCoherentEmbedding:
 
     def flow(self, q: float, p: float, hbar: float, n_top: int) -> np.ndarray:
         m, w = self.model.m, self.model.omega
-        from .moment_algebra import moment_indices
-
         count = sum(len(moment_indices(n, 1)) for n in range(2, n_top + 1))
         out = np.zeros(2 + count)
         out[0] = p / m
@@ -493,8 +493,6 @@ class FreeConstantEmbedding:
         self.reference = reference_moments
 
     def state(self, q, p, hbar, n_top):
-        from .moment_algebra import moment_indices
-
         moments = {}
         for n in range(2, n_top + 1):
             for idx in moment_indices(n, 1):
@@ -502,8 +500,6 @@ class FreeConstantEmbedding:
         return SemiclassicalState(hbar, {"q": q, "p": p}, moments, n_top)
 
     def flow(self, q, p, hbar, n_top):
-        from .moment_algebra import moment_indices
-
         count = sum(len(moment_indices(n, 1)) for n in range(2, n_top + 1))
         out = np.zeros(2 + count)
         out[0] = p / self.model.m
@@ -526,8 +522,6 @@ def order_check(
     order k shows slope >= k + 1; a mismatch below ``exact_floor`` at every
     hbar reports exact instead of fitting.
     """
-    from .hamiltonian import expand_quantum_hamiltonian, generate_eom
-
     hbars = sorted(float(h) for h in hbars)
     if len(hbars) < 4 or hbars[-1] / hbars[0] < 99:
         raise RangeError("need >= 4 hbar values spanning >= 2 decades")

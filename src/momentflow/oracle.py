@@ -5,18 +5,22 @@ truncated dynamics: dense operator matrices, eigendecomposition-based time
 evolution, Weyl-ordered moment extraction, a commutator-based bracket
 oracle, and moment-sequence reconstruction of wave functions.
 
+Weyl operators come from the Jordan recursion W_{j+1,k} = (q W_{j,k} +
+W_{j,k} q)/2 (and the same for p), which is exact because the Moyal star
+product gives (x star f + f star x)/2 = x f for x = q, p.
+
 Truncation caveat: the top basis levels are polluted by the cutoff, so
 commutator identities hold only on the interior block and states must keep
-their support well below dimension D.
+their support well below dimension D.  A Weyl operator of order n = j + k
+built from truncated q and p is exact on the block [:D - n, :D - n].
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 from numpy.polynomial import hermite as np_hermite
@@ -40,8 +44,6 @@ __all__ = [
     "hamburger_phase",
     "OracleDProvider",
 ]
-
-WEYL_CAP = 8  # j + k cap for explicit multinomial symmetrization
 
 
 def fock_ops(D: int, m: float = 1.0, omega: float = 1.0, hbar: float = 1.0):
@@ -116,21 +118,21 @@ class FockSpace:
 
 
 def weyl_op(j: int, k: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Average over all distinct orderings of j copies of q and k copies of p."""
-    if j + k > WEYL_CAP:
-        raise CapacityError(f"Weyl order {j + k} exceeds cap {WEYL_CAP}")
-    if j + k == 0:
-        return np.eye(q.shape[0], dtype=complex)
-    total = np.zeros(q.shape, dtype=complex)
-    positions = range(j + k)
-    count = 0
-    for qslots in combinations(positions, j):
-        acc = np.eye(q.shape[0], dtype=complex)
-        for pos in positions:
-            acc = acc @ (q if pos in qslots else p)
-        total += acc
-        count += 1
-    return total / count
+    """Weyl-ordered (fully symmetrized) product of j copies of q and k of p.
+
+    Built by the Jordan recursion W <- (x W + W x)/2, first k times with
+    x = p and then j times with x = q: the Moyal star product gives
+    (x star f + f star x)/2 = x f for x = q, p, so each step multiplies the
+    Weyl symbol by x.  q and p must be Hermitian (centred operators are too);
+    then W x = (x W)^H, one matrix product per step, and every W is exactly
+    Hermitian.  With truncated q and p the result is exact on the block
+    [:D - (j + k), :D - (j + k)].
+    """
+    W = np.eye(q.shape[0], dtype=complex)
+    for x in (p,) * k + (q,) * j:
+        xW = x @ W
+        W = (xW + xW.conj().T) / 2
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +220,14 @@ def moments_of(psi: np.ndarray, space: FockSpace, up_to_n: int) -> Semiclassical
 _WKey = tuple[tuple[int, int], ...]
 
 
-def _central_poly(idx: MomentIndex, x: dict[_WKey, float]) -> dict[tuple[_WKey, ...], float]:
+@lru_cache(maxsize=None)
+def _central_poly(idx: MomentIndex) -> dict[tuple[_WKey, ...], float]:
     """G as a polynomial in raw Weyl expectations W[(j1,k1),(j2,k2),...].
 
     The classical point enters as W with a single unit power, e.g. for one
     DOF q = W[(1,0)] and p = W[(0,1)].  Returned as a dict mapping a sorted
-    tuple of W keys (a monomial) to its coefficient.
+    tuple of W keys (a monomial) to its coefficient; cached per index, so
+    callers must not modify it.
     """
     N = idx.dof
     terms: dict[tuple[_WKey, ...], float] = {}
@@ -273,7 +277,7 @@ def bracket_oracle(i1, i2, psi: np.ndarray, space: FockSpace) -> float:
     polys = []
     for idx in (i1, i2):
         if isinstance(idx, MomentIndex):
-            polys.append(_central_poly(idx, {}))
+            polys.append(_central_poly(idx))
         else:
             kind, f = (idx, 0) if isinstance(idx, str) else idx
             key = tuple(
@@ -362,6 +366,24 @@ def random_state(rng: np.random.Generator, D: int, support: int | None = None) -
 # moment-sequence reconstruction
 
 
+def _hermite_series(moments: np.ndarray, order: int):
+    """sum_n c_n H_n(q) / (2^n n! sqrt(pi)) with c_n = int H_n(q) f(q) dq
+    computed from the power moments of f, as a function of q."""
+    cs = []
+    for n in range(order + 1):
+        herm = np_hermite.herm2poly([0] * n + [1])  # H_n power-basis coeffs
+        cs.append(float(np.dot(herm, moments[: n + 1])))
+
+    def series(q):
+        total = np.zeros_like(q)
+        for n, cn in enumerate(cs):
+            hn = np_hermite.hermval(q, [0] * n + [1])
+            total += cn * hn / (2**n * math.factorial(n) * math.sqrt(math.pi))
+        return total
+
+    return series
+
+
 def hamburger_density(a, order: int):
     """Reconstruct |Psi(q)|^2 from the raw position moments a_l = <q^l>.
 
@@ -374,18 +396,11 @@ def hamburger_density(a, order: int):
     a = np.asarray(a, dtype=float)
     if a.size < order + 1:
         raise ReconstructionError(f"need {order + 1} moments, got {a.size}")
-    cs = []
-    for n in range(order + 1):
-        herm = np_hermite.herm2poly([0] * n + [1])  # H_n power-basis coeffs
-        cs.append(float(np.dot(herm, a[: n + 1])))
+    series = _hermite_series(a, order)
 
     def density(q):
         q = np.asarray(q, dtype=float)
-        total = np.zeros_like(q)
-        for n, cn in enumerate(cs):
-            hn = np_hermite.hermval(q, [0] * n + [1])
-            total += cn * hn / (2**n * math.factorial(n) * math.sqrt(math.pi))
-        return np.exp(-(q**2)) * total
+        return np.exp(-(q**2)) * series(q)
 
     return density
 
@@ -411,21 +426,14 @@ def hamburger_phase(b, a, density, order: int, hbar: float = 1.0):
                 f"mixed moment b_{n} inconsistent with a-sequence (imag {val.imag:.2e})"
             )
         m[n] = val.real
-    cs = []
-    for n in range(order + 1):
-        herm = np_hermite.herm2poly([0] * n + [1])
-        cs.append(float(np.dot(herm, m[: n + 1])))
+    series = _hermite_series(m, order)
 
     def phase_gradient(q):
         q = np.asarray(q, dtype=float)
-        total = np.zeros_like(q)
-        for n, cn in enumerate(cs):
-            hn = np_hermite.hermval(q, [0] * n + [1])
-            total += cn * hn / (2**n * math.factorial(n) * math.sqrt(math.pi))
         rho = density(q)
         if np.any(rho <= 0):
             raise ReconstructionError("density not positive at a phase-evaluation point")
-        return np.exp(-(q**2)) * total / rho
+        return np.exp(-(q**2)) * series(q) / rho
 
     return phase_gradient
 

@@ -63,6 +63,17 @@ def test_missing_config_file_exits_3(tmp_path):
     ({"n_max": "3"}, "n_max"),
     ({"n_max": True}, "n_max"),
     ({"samples": 2.5}, "samples"),
+    ({"t1": "5"}, "t1"),
+    ({"t1": float("inf")}, "t1"),
+    ({"model": "quartic", "delta": "0.1"}, "delta"),
+    ({"E": "x"}, "E"),
+    ({"m": False}, "m"),
+    ({"ell": "big"}, "ell"),
+    ({"initial": {"kind": "coherent", "q0": "a"}}, "q0"),
+    ({"initial": {"kind": "coherent", "p0": None}}, "p0"),
+    ({"rtol": 0}, "rtol"),
+    ({"atol": -1e-10}, "atol"),
+    ({"oracle_dim": 2.5}, "oracle_dim"),
 ])
 def test_non_integer_config_exits_3(tmp_path, capsys, data, key):
     cfg = tmp_path / "cfg.json"
@@ -76,16 +87,6 @@ def test_zero_hbar_exits_3(tmp_path, capsys):
     assert cli.main(["simulate", "--hbar", "0", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "config error" in err and "hbar" in err and "Traceback" not in err
-
-
-def test_threads_env_invalid_exits_3(tmp_path, monkeypatch):
-    monkeypatch.setenv("MOMENTFLOW_THREADS", "many")
-    assert cli.main(["simulate", "--out", str(tmp_path)]) == 3
-
-
-def test_threads_env_valid(tmp_path, monkeypatch):
-    monkeypatch.setenv("MOMENTFLOW_THREADS", "1")
-    assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
 
 
 # -- simulate ----------------------------------------------------------------
@@ -167,6 +168,17 @@ def test_compare_harmonic_small(tmp_path, capsys):
     report = json.loads((tmp_path / "compare.json").read_text())
     assert report["errors"]["q"]["max"] < 1e-6
     assert report["errors"]["G_0_2"]["max"] < 1e-6
+
+
+def test_compare_quartic_nmax_10(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t1": 1.0, "samples": 21}))
+    argv = ["compare", "--model", "quartic", "--nmax", "10", "--config", str(cfg),
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "compare.json").read_text())
+    assert report["n_max"] == 10
+    assert all(np.isfinite(err["max"]) for err in report["errors"].values())
 
 
 def test_compare_rejects_cosmology(tmp_path):

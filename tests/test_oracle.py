@@ -1,6 +1,8 @@
 """Truncated-basis oracle tests: operator construction, evolution,
 moment extraction, bracket oracle, and Hamburger reconstruction."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,17 +42,36 @@ def test_fock_ops_min_dimension():
         orc.fock_ops(4, 1.0, 1.0, 1.0)
 
 
+def _ordering_average(j, k, q, p):
+    """Weyl-ordered q^j p^k as the plain average over all C(j + k, j)
+    placements of the q factors."""
+    orderings = list(itertools.combinations(range(j + k), j))
+    total = np.zeros(q.shape, dtype=complex)
+    for qslots in orderings:
+        acc = np.eye(q.shape[0], dtype=complex)
+        for pos in range(j + k):
+            acc = acc @ (q if pos in qslots else p)
+        total += acc
+    return total / len(orderings)
+
+
+def _assert_weyl_matches_ordering_average(space, j, k):
+    W = space.weyl(j, k)
+    assert np.array_equal(W, W.conj().T)
+    # the cutoff pollutes the last j + k rows and columns
+    b = space.D - (j + k)
+    ref = _ordering_average(j, k, space.q1, space.p1)[:b, :b]
+    assert np.allclose(W[:b, :b], ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
 def test_weyl_op_symmetrization(space50):
-    q, p = space50.q1, space50.p1
-    assert np.allclose(space50.weyl(1, 1), (q @ p + p @ q) / 2)
-    assert np.allclose(space50.weyl(2, 0), q @ q)
-    assert np.allclose(space50.weyl(2, 1), (q @ q @ p + q @ p @ q + p @ q @ q) / 3)
+    for n in range(9):
+        for j in range(n + 1):
+            _assert_weyl_matches_ordering_average(space50, j, n - j)
 
 
-def test_weyl_cap():
-    space = orc.FockSpace(20)
-    with pytest.raises(CapacityError):
-        space.weyl(5, 5)
+def test_weyl_beyond_order_8():
+    _assert_weyl_matches_ordering_average(orc.FockSpace(20), 5, 5)
 
 
 # -- evolution --------------------------------------------------------------
