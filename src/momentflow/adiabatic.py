@@ -49,7 +49,7 @@ BREAKDOWN_EPS = 1e-8
 
 @dataclass
 class AdiabaticConfig:
-    """Expansion orders and free state constants.
+    """Adiabatic expansion order ``e`` and free state constants.
 
     ``C2`` generalizes the vacuum value 1/2 to non-vacuum (e.g. thermal or
     squeezed-family) initial data; ``Cn`` entries for n > 2 are accepted
@@ -58,15 +58,12 @@ class AdiabaticConfig:
     """
 
     e: int = 2
-    k: int = 1
     C2: float = 0.5
     Cn: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.e not in (0, 1, 2):
             raise ConfigError("adiabatic order e must be 0, 1, or 2")
-        if self.k not in (0, 1):
-            raise ConfigError("hbar order k must be 0 or 1")
         if self.C2 <= 0:
             raise ConfigError("C2 must be positive")
 
@@ -241,7 +238,7 @@ def solve_effective(
         )
     labels = ["q", "qdot", "G_0_2", "G_1_2", "G_2_2"]
     stats = {"nfev": int(sol.nfev), "rtol": rtol, "atol": atol}
-    meta = {"C2": config.C2, "e": config.e, "k": config.k}
+    meta = {"C2": config.C2, "e": config.e}
     return Trajectory(sol.t, np.array(rows), labels, hbar, stats, meta, complete=complete)
 
 

@@ -1,15 +1,25 @@
 """Command-line entry point: configure a model, run simulations,
 oracle comparisons, and diagnostics, and emit CSV/JSON artifacts.
 
-Exit codes: 0 ok, 2 domain error, 3 config error, 4 capacity, 5 internal.
+Every config key, its default and its rule are declared once, in
+``CONFIG_SCHEMA`` (and ``INITIAL_SCHEMA`` for the keys of each
+``initial.kind``).  Each override flag sets the config key it names
+(``--nmax`` sets ``n_max``).
+
+Exit codes: 0 ok, 2 domain error, 3 config error (a rule of the schema
+fails, or the command line does not parse), 4 capacity, 5 internal error
+(any other exception, reported as ``internal error: <Type>: <message>``
+without a traceback).  ``--help`` and ``--version`` exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
+import re
 import sys
 from importlib import metadata
 
@@ -21,7 +31,7 @@ from .dynamics import (
     FreeConstantEmbedding,
     HarmonicCoherentEmbedding,
     coherent_free_constants,
-    coherent_tilde_moment,
+    coherent_moments,
     cosmology_moments,
     free_particle_moments,
     integrate,
@@ -32,7 +42,6 @@ from .errors import (
     CapacityError,
     ConfigError,
     DomainError,
-    MomentflowError,
     StateError,
     StiffnessError,
 )
@@ -40,7 +49,6 @@ from .hamiltonian import (
     ClassicalHamiltonian,
     PotentialSpec,
     expand_quantum_hamiltonian,
-    from_dimensionless,
     generate_eom,
 )
 from .moment_algebra import (
@@ -59,107 +67,137 @@ except metadata.PackageNotFoundError:  # running from a checkout
 
 MODELS = ("harmonic", "free", "quartic", "cosmology")
 
-DEFAULTS = {
-    "model": "harmonic",
-    "m": 1.0,
-    "omega": 1.0,
-    "delta": 0.1,
-    "hbar": 1.0,
-    "gamma": 1.0,
-    "kappa": 1.0,
-    "E": 1.0,
-    "ell": None,
-    "g0": 1.0,
-    "g32": 0.0,
-    "g3": 1.0,
-    "n_max": 3,
-    "dof": 1,
-    "closure": "zero",
-    "rtol": 1e-8,
-    "atol": 1e-10,
-    "initial": {"kind": "coherent", "q0": 1.0, "p0": 0.0},
-    "t0": 0.0,
-    "t1": 2 * math.pi,
-    "samples": 201,
-    "oracle_dim": 120,
-    "out": ".",
-    "format": "csv",
-    "seed": 0,
+# ---------------------------------------------------------------------------
+# configuration schema: key -> (default, rule, words); a value v passes when
+# rule(v) is true, otherwise the config error reads "<key> must be <words>"
+
+REQUIRED = object()  # default of a key that has none
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _moment_index(label) -> MomentIndex | None:
+    """Index of a one-DOF moment label G_a_n with 0 <= a <= n and n >= 2."""
+    match = isinstance(label, str) and re.fullmatch(r"G_(\d+)_(\d+)", label)
+    if not match:
+        return None
+    a, n = int(match[1]), int(match[2])
+    return MomentIndex.single(a, n) if a <= n and n >= 2 else None
+
+
+def _one_of(*choices):
+    return (lambda v: isinstance(v, str) and v in choices), f"one of {choices}"
+
+
+NUMBER = _number, "a finite number"
+POSITIVE = (lambda v: _number(v) and v > 0), "a positive finite number"
+NON_NEGATIVE = (lambda v: _number(v) and v >= 0), "a non-negative finite number"
+AT_LEAST_2 = (lambda v: _integer(v) and v >= 2), "an integer of at least 2"
+MOMENTS = (
+    lambda v: isinstance(v, dict)
+    and all(_moment_index(k) is not None and _number(x) for k, x in v.items())
+), "an object mapping labels G_a_n (0 <= a <= n, n >= 2) to finite numbers"
+
+CONFIG_SCHEMA = {
+    "model": ("harmonic", *_one_of(*MODELS)),
+    "m": (1.0, *POSITIVE),
+    "omega": (1.0, *NON_NEGATIVE),
+    "delta": (0.1, *NUMBER),
+    "hbar": (1.0, *POSITIVE),
+    "gamma": (1.0, *POSITIVE),
+    "kappa": (1.0, *POSITIVE),
+    "E": (1.0, *NUMBER),
+    "ell": (None, lambda v: v is None or POSITIVE[0](v), "null or a positive finite number"),
+    "g0": (1.0, *NUMBER),
+    "g32": (0.0, *NUMBER),
+    "g3": (1.0, *NUMBER),
+    "n_max": (3, *AT_LEAST_2),
+    "dof": (1, lambda v: _integer(v) and v in (1, 2), "1 or 2"),
+    "closure": ("zero", *_one_of("zero", "gaussian-factorize")),
+    "rtol": (1e-8, *POSITIVE),
+    "atol": (1e-10, *POSITIVE),
+    "initial": ({"kind": "coherent"}, lambda v: isinstance(v, dict), "an object"),
+    "t0": (0.0, *NUMBER),
+    "t1": (2 * math.pi, *NUMBER),
+    "samples": (201, *AT_LEAST_2),
+    "oracle_dim": (120, _integer, "an integer"),
+    "out": (".", lambda v: isinstance(v, str) and v != "", "a non-empty path"),
+    "format": ("csv", *_one_of("csv", "json")),
 }
 
-#: keys that take a finite real number (``ell`` may also be null)
-REAL_KEYS = ("m", "omega", "delta", "hbar", "gamma", "kappa", "E", "g0", "g32", "g3",
-             "t0", "t1", "rtol", "atol")
-
-INITIAL_KEYS = {
-    "coherent": {"kind", "q0", "p0"},
-    "squeezed": {"kind", "q0", "p0", "g"},
-    "moments": {"kind", "q0", "p0", "values"},
+_INITIAL_COMMON = {
+    "kind": (REQUIRED, *_one_of("coherent", "squeezed", "moments")),
+    "q0": (1.0, *NUMBER),
+    "p0": (0.0, *NUMBER),
 }
+
+#: initial.kind -> its keys, declared like CONFIG_SCHEMA
+INITIAL_SCHEMA = {
+    "coherent": _INITIAL_COMMON,
+    "squeezed": {**_INITIAL_COMMON, "g": (
+        REQUIRED,
+        lambda v: isinstance(v, list) and len(v) == 2
+        and all(isinstance(row, list) and len(row) == 2 and all(map(_number, row)) for row in v)
+        and v[0][1] == v[1][0],
+        "a symmetric 2x2 list of finite numbers",
+    )},
+    "moments": {**_INITIAL_COMMON, "values": ({}, *MOMENTS)},
+}
+
+#: config keys that the flag of the same name (its dest) overrides
+OVERRIDE_KEYS = ("model", "out", "hbar", "n_max", "oracle_dim", "format")
+
+
+def _apply(schema: dict, data: dict, prefix: str = "") -> dict:
+    """``data`` with every default of ``schema`` filled in, each value
+    checked by its rule and unknown keys rejected."""
+    out = {}
+    for key, (default, rule, words) in schema.items():
+        if key not in data and default is REQUIRED:
+            raise ConfigError(f"{prefix}{key} is required")
+        val = data[key] if key in data else copy.deepcopy(default)
+        if not rule(val):
+            raise ConfigError(f"{prefix}{key} must be {words}, got {val!r}")
+        out[key] = val
+    unknown = sorted(prefix + key for key in set(data) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown keys: {unknown}")
+    return out
+
+
+def _read_json(path: str, what: str) -> dict:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must be a JSON object")
+    return data
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
-    cfg = dict(DEFAULTS)
-    cfg["initial"] = dict(DEFAULTS["initial"])
-    if path is not None:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(data) - set(DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(data)
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
-    _validate(cfg)
+    data = {} if path is None else _read_json(path, "config file")
+    data.update((key, val) for key, val in overrides.items() if val is not None)
+    cfg = _apply(CONFIG_SCHEMA, data)
+    # a kind that is missing, unhashable or unknown fails the common kind rule
+    kind = cfg["initial"].get("kind")
+    schema = INITIAL_SCHEMA.get(kind if isinstance(kind, str) else None, _INITIAL_COMMON)
+    init = cfg["initial"] = _apply(schema, cfg["initial"], "initial.")
+    if cfg["t1"] == cfg["t0"]:
+        raise ConfigError(f"t1 must differ from t0, both are {cfg['t0']!r}")
+    for label in init.get("values", {}):
+        if _moment_index(label).order > cfg["n_max"]:
+            raise ConfigError(f"initial.values label {label} exceeds n_max={cfg['n_max']}")
     return cfg
-
-
-def _validate(cfg: dict) -> None:
-    if cfg["model"] not in MODELS:
-        raise ConfigError(f"model must be one of {MODELS}, got {cfg['model']!r}")
-    init = cfg["initial"]
-    if not isinstance(init, dict) or "kind" not in init:
-        raise ConfigError("initial must be an object with a 'kind' field")
-    if init["kind"] not in INITIAL_KEYS:
-        raise ConfigError(f"initial.kind must be one of {sorted(INITIAL_KEYS)}")
-    unknown = set(init) - INITIAL_KEYS[init["kind"]]
-    if unknown:
-        raise ConfigError(f"unknown initial keys: {sorted(unknown)}")
-    for key in REAL_KEYS + ("ell",):
-        if not (_is_number(cfg[key]) or (key == "ell" and cfg[key] is None)):
-            raise ConfigError(f"{key} must be a finite number, got {cfg[key]!r}")
-    for key in ("m", "omega"):
-        if cfg[key] < 0:
-            raise ConfigError(f"{key} must be non-negative, got {cfg[key]!r}")
-    for key in ("hbar", "rtol", "atol"):
-        if cfg[key] <= 0:
-            raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
-    for key in ("q0", "p0"):
-        if key in init and not _is_number(init[key]):
-            raise ConfigError(f"initial.{key} must be a finite number, got {init[key]!r}")
-    for key in ("n_max", "samples"):
-        if not _is_int(cfg[key]) or cfg[key] < 2:
-            raise ConfigError(f"{key} must be an integer of at least 2, got {cfg[key]!r}")
-    if not _is_int(cfg["oracle_dim"]):
-        raise ConfigError(f"oracle_dim must be an integer, got {cfg['oracle_dim']!r}")
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigError("format must be csv or json")
-
-
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
-
-
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +224,11 @@ def _reference_omega(cfg: dict) -> float:
     return cfg["omega"] if cfg["omega"] > 0 else 1.0
 
 
-def _parse_label(label: str) -> MomentIndex:
-    parts = label.split("_")
-    if len(parts) != 3 or parts[0] != "G":
-        raise ConfigError(f"bad moment label {label!r}, expected G_a_n")
-    return MomentIndex.single(int(parts[1]), int(parts[2]))
-
-
 def initial_state(cfg: dict, model: ClassicalHamiltonian) -> SemiclassicalState:
     hbar = cfg["hbar"]
     init = cfg["initial"]
     n_max = cfg["n_max"]
-    q0 = float(init.get("q0", 1.0))
-    p0 = float(init.get("p0", 0.0))
+    q0, p0 = float(init["q0"]), float(init["p0"])
 
     if model.kind == "cosmology":
         params = CosmologyParams(
@@ -212,39 +242,23 @@ def initial_state(cfg: dict, model: ClassicalHamiltonian) -> SemiclassicalState:
         return SemiclassicalState(hbar, {"c": q0, "p": p0}, moments, n_max)
 
     m, w = cfg["m"], _reference_omega(cfg)
-    moments: dict[MomentIndex, float] = {}
     if init["kind"] == "coherent":
-        for n in range(2, n_max + 1):
-            for idx in moment_indices(n, 1):
-                moments[idx] = from_dimensionless(
-                    coherent_tilde_moment(idx.p_power, n), idx.p_power, n, m, w, hbar
-                )
+        moments = coherent_moments(n_max, m, w, hbar)
     elif init["kind"] == "squeezed":
         g = np.asarray(init["g"], dtype=float)
-        for n in range(2, n_max + 1):
-            for idx in moment_indices(n, 1):
-                a = idx.p_power
-                # states module works in m w = 1 units
-                moments[idx] = (m * w) ** (a - n / 2) * squeezed_moment(g, idx, hbar)
+        # states module works in m w = 1 units
+        moments = {idx: (m * w) ** (idx.p_power - n / 2) * squeezed_moment(g, idx, hbar)
+                   for n in range(2, n_max + 1) for idx in moment_indices(n, 1)}
     else:
-        values = init.get("values", {})
-        if not isinstance(values, dict):
-            raise ConfigError("initial.values must be a label -> value object")
-        for n in range(2, n_max + 1):
-            for idx in moment_indices(n, 1):
-                moments[idx] = 0.0
-        for label, val in values.items():
-            idx = _parse_label(label)
-            if idx.order > n_max:
-                raise ConfigError(f"moment {label} exceeds n_max={n_max}")
-            moments[idx] = float(val)
+        moments = {idx: 0.0 for n in range(2, n_max + 1) for idx in moment_indices(n, 1)}
+        moments.update((_moment_index(lbl), float(val)) for lbl, val in init["values"].items())
     pot = model.potential if model.kind == "oscillator" else None
     return SemiclassicalState(hbar, {"q": q0, "p": p0}, moments, n_max, pot)
 
 
 def _write_trajectory(traj, cfg: dict, stem: str) -> list[str]:
     os.makedirs(cfg["out"], exist_ok=True)
-    traj.meta["config"] = _json_safe(cfg)
+    traj.meta["config"] = cfg
     traj.meta["version"] = VERSION
     paths = []
     if cfg["format"] == "csv":
@@ -264,16 +278,6 @@ def _write_trajectory(traj, cfg: dict, stem: str) -> list[str]:
         traj.to_json(path)
         paths.append(path)
     return paths
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +321,7 @@ def cmd_adiabatic(cfg: dict) -> int:
     model = build_model(cfg)
     if model.kind != "oscillator" or model.omega <= 0:
         raise ConfigError("adiabatic solver needs an oscillator model with omega > 0")
-    init = cfg["initial"]
-    q0 = float(init.get("q0", 1.0))
-    qdot0 = float(init.get("p0", 0.0)) / model.m
+    q0, qdot0 = float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"]) / model.m
     traj = solve_effective(
         AdiabaticConfig(), model, cfg["hbar"], q0, qdot0,
         (cfg["t0"], cfg["t1"]), n_samples=cfg["samples"],
@@ -356,8 +358,7 @@ def cmd_compare(cfg: dict) -> int:
     if cfg["initial"]["kind"] != "coherent":
         raise ConfigError("compare supports coherent initial states")
     space, Hop = _oracle_setup(cfg, model)
-    q0 = float(cfg["initial"].get("q0", 1.0))
-    p0 = float(cfg["initial"].get("p0", 0.0))
+    q0, p0 = float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"])
     vac = np.zeros(space.D, dtype=complex)
     vac[0] = 1.0
     psi0 = orc.displacement((q0, p0), space) @ vac
@@ -393,7 +394,7 @@ def cmd_compare(cfg: dict) -> int:
         table[lbl] = {"max": float(np.max(err)), "rms": float(np.sqrt(np.mean(err**2)))}
 
     report = {"model": cfg["model"], "n_max": cfg["n_max"], "oracle_dim": space.D,
-              "errors": table, "config": _json_safe(cfg), "version": VERSION}
+              "errors": table, "config": cfg, "version": VERSION}
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], "compare.json")
     with open(path, "w") as fh:
@@ -405,14 +406,9 @@ def cmd_compare(cfg: dict) -> int:
     return 0
 
 
-def cmd_brackets(cfg: dict, nmax_arg: int | None, dof_arg: int | None) -> int:
-    n_max = nmax_arg if nmax_arg is not None else cfg["n_max"]
-    dof = dof_arg if dof_arg is not None else cfg["dof"]
-    if dof not in (1, 2):
-        raise ConfigError("dof must be 1 or 2")
-    idxs = []
-    for n in range(2, n_max + 1):
-        idxs.extend(moment_indices(n, dof))
+def cmd_brackets(cfg: dict) -> int:
+    n_max, dof = cfg["n_max"], cfg["dof"]
+    idxs = [idx for n in range(2, n_max + 1) for idx in moment_indices(n, dof)]
     lines = []
     for i1 in idxs:
         for i2 in idxs:
@@ -428,15 +424,16 @@ def cmd_brackets(cfg: dict, nmax_arg: int | None, dof_arg: int | None) -> int:
 
 
 def cmd_uncertainty(cfg: dict, state_path: str) -> int:
-    try:
-        with open(state_path) as fh:
-            data = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"bad state file {state_path}: {exc}") from exc
-    hbar = float(data.get("hbar", cfg["hbar"]))
-    x = {k: float(v) for k, v in data.get("x", {"q": 0.0, "p": 0.0}).items()}
-    moments = {_parse_label(lbl): float(v) for lbl, v in data["moments"].items()}
-    n_max = max(idx.order for idx in moments)
+    data = _apply({
+        "hbar": (cfg["hbar"], *POSITIVE),
+        "x": ({"q": 0.0, "p": 0.0}, lambda v: isinstance(v, dict) and all(map(_number, v.values())),
+              "an object mapping names to finite numbers"),
+        "moments": (REQUIRED, *MOMENTS),
+    }, _read_json(state_path, "state file"), "state.")
+    hbar = float(data["hbar"])
+    x = {k: float(v) for k, v in data["x"].items()}
+    moments = {_moment_index(lbl): float(v) for lbl, v in data["moments"].items()}
+    n_max = max((idx.order for idx in moments), default=2)
     state = SemiclassicalState(hbar, x, moments, n_max)
     margin = check_uncertainty_order2(state)
     out = {"order2_margin": margin, "hbar": hbar}
@@ -478,54 +475,54 @@ def cmd_order_check(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 3, the config-error code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "compare": cmd_compare,
+    "adiabatic": cmd_adiabatic,
+    "order-check": cmd_order_check,
+    "brackets": cmd_brackets,
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="momentflow", description=__doc__)
+    parser = _Parser(prog="momentflow", description=__doc__)
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name in (*COMMANDS, "uncertainty"):
+        p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--model", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--hbar", type=float, default=None)
-        p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--oracle-dim", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", default=None, choices=("csv", "json"))
-
-    for name in ("simulate", "compare", "adiabatic", "order-check"):
-        common(sub.add_parser(name))
-    pb = sub.add_parser("brackets")
-    common(pb)
-    pb.add_argument("nmax_pos", type=int, nargs="?", default=None)
-    pb.add_argument("dof_pos", type=int, nargs="?", default=None)
-    pu = sub.add_parser("uncertainty")
-    common(pu)
-    pu.add_argument("state_file")
+        p.add_argument("--nmax", dest="n_max", metavar="NMAX", type=int, default=None)
+        p.add_argument("--oracle-dim", dest="oracle_dim", type=int, default=None)
+        p.add_argument("--format", default=None)
+        if name == "brackets":
+            p.add_argument("pos_n_max", metavar="nmax", type=int, nargs="?", default=None)
+            p.add_argument("pos_dof", metavar="dof", type=int, nargs="?", default=None)
+        elif name == "uncertainty":
+            p.add_argument("state_file")
     return parser
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    flags = [(key, getattr(args, key)) for key in OVERRIDE_KEYS]
+    # brackets' positional nmax and dof come last, so they beat --nmax
+    flags += [(key, getattr(args, "pos_" + key, None)) for key in ("n_max", "dof")]
     try:
-        overrides = {
-            "model": args.model, "out": args.out, "hbar": args.hbar,
-            "n_max": args.nmax, "oracle_dim": getattr(args, "oracle_dim", None),
-            "seed": args.seed, "format": args.format,
-        }
-        cfg = load_config(args.config, overrides)
-        np.random.default_rng(cfg["seed"])  # reserved for stochastic subcommands
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        if args.command == "adiabatic":
-            return cmd_adiabatic(cfg)
-        if args.command == "brackets":
-            return cmd_brackets(cfg, args.nmax_pos, args.dof_pos)
+        cfg = load_config(args.config, {key: val for key, val in flags if val is not None})
         if args.command == "uncertainty":
             return cmd_uncertainty(cfg, args.state_file)
-        return cmd_order_check(cfg)
+        return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -535,8 +532,8 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 4
-    except MomentflowError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug: report it without a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
 
 

@@ -2,8 +2,7 @@
 order-scaling diagnostic for truncated moment systems.
 
 All dynamics here is single degree of freedom.  The integrator is an
-adaptive embedded Runge-Kutta 5(4) pair (scipy) with a fixed-step
-classical RK4 fallback for bit-reproducibility tests.
+adaptive embedded Runge-Kutta 5(4) pair (scipy).
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ __all__ = [
     "HarmonicModeConstants",
     "harmonic_analytic",
     "coherent_tilde_moment",
+    "coherent_moments",
     "free_particle_moments",
     "coherent_free_constants",
     "CosmologyParams",
@@ -110,14 +110,10 @@ def integrate(
     n_samples: int = 201,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    method: str = "rk45",
     validate: bool = True,
 ) -> Trajectory:
-    """Integrate the moment ODE system from the given initial state.
-
-    ``method`` is "rk45" (adaptive, default) or "rk4" (fixed step, using
-    n_samples - 1 steps, for reproducibility checks).
-    """
+    """Integrate the moment ODE system from the given initial state with
+    RK45, sampled at ``n_samples`` equally spaced times."""
     if rtol <= 0 or atol <= 0:
         raise StateError("tolerances must be positive")
     if validate:
@@ -128,22 +124,7 @@ def integrate(
 
     cosmology = system.model.kind == "cosmology"
     complete = True
-    stats: dict = {"method": method, "rtol": rtol, "atol": atol}
-
-    if method == "rk4":
-        h = (t_span[1] - t_span[0]) / (n_samples - 1)
-        ys = [y0]
-        y = y0.copy()
-        for i in range(n_samples - 1):
-            t = t_eval[i]
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            ys.append(y.copy())
-        stats["steps"] = n_samples - 1
-        return Trajectory(t_eval, np.array(ys), system.labels(), s0.hbar, stats, system=system)
+    stats: dict = {"method": "rk45", "rtol": rtol, "atol": atol}
 
     events = None
     if cosmology:
@@ -197,6 +178,16 @@ def coherent_tilde_moment(a: int, n: int) -> float:
         * math.factorial(n - a)
         / (2**n * math.factorial(a // 2) * math.factorial((n - a) // 2))
     )
+
+
+def coherent_moments(n_max: int, m: float, w: float, hbar: float) -> dict[MomentIndex, float]:
+    """Moments of orders 2..n_max of a coherent state of the oscillator with
+    mass m and frequency w."""
+    return {
+        idx: from_dimensionless(coherent_tilde_moment(idx.p_power, n), idx.p_power, n, m, w, hbar)
+        for n in range(2, n_max + 1)
+        for idx in moment_indices(n, 1)
+    }
 
 
 @dataclass
@@ -464,12 +455,7 @@ class HarmonicCoherentEmbedding:
         self.model = model
 
     def state(self, q: float, p: float, hbar: float, n_top: int) -> SemiclassicalState:
-        m, w = self.model.m, self.model.omega
-        moments = {}
-        for n in range(2, n_top + 1):
-            for idx in moment_indices(n, 1):
-                a = idx.p_power
-                moments[idx] = from_dimensionless(coherent_tilde_moment(a, n), a, n, m, w, hbar)
+        moments = coherent_moments(n_top, self.model.m, self.model.omega, hbar)
         return SemiclassicalState(hbar, {"q": q, "p": p}, moments, n_top)
 
     def flow(self, q: float, p: float, hbar: float, n_top: int) -> np.ndarray:

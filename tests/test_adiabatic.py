@@ -28,8 +28,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         adi.AdiabaticConfig(e=3)
     with pytest.raises(ConfigError):
-        adi.AdiabaticConfig(k=2)
-    with pytest.raises(ConfigError):
         adi.AdiabaticConfig(C2=0.0)
 
 

@@ -74,13 +74,86 @@ def test_missing_config_file_exits_3(tmp_path):
     ({"rtol": 0}, "rtol"),
     ({"atol": -1e-10}, "atol"),
     ({"oracle_dim": 2.5}, "oracle_dim"),
+    ({"seed": "x"}, "seed"),
+    ({"seed": 0}, "seed"),
+    ({"initial": {"kind": "squeezed", "q0": 0, "p0": 0, "g": "abc"}}, "g"),
+    ({"initial": {"kind": "squeezed", "q0": 0, "p0": 0}}, "g"),
+    ({"initial": {"kind": "squeezed", "g": [[1, 0.5], [0, 1]]}}, "g"),
+    ({"initial": {"kind": "moments", "values": {"G_0_2": "x"}}}, "values"),
+    ({"initial": {"kind": "moments", "values": {"G_x_2": 1}}}, "values"),
+    ({"initial": {"kind": "moments", "values": {"G_3_2": 1}}}, "values"),
+    ({"initial": {"kind": "moments", "values": {"G_0_1": 1}}}, "values"),
+    ({"initial": {"kind": "moments", "values": {"G_0_4": 1}}}, "values"),
+    ({"initial": {"kind": "moments", "values": ["G_0_2"]}}, "values"),
+    ({"initial": {"kind": "gaussian"}}, "kind"),
+    ({"initial": {"q0": 0.5}}, "kind"),
+    ({"initial": {"kind": ["coherent"]}}, "kind"),
+    ({"initial": "coherent"}, "initial"),
+    ({"model": "cosmology", "gamma": 0}, "gamma"),
+    ({"model": "cosmology", "kappa": 0}, "kappa"),
+    ({"model": "cosmology", "ell": -1, "initial": {"kind": "coherent", "q0": -0.5, "p0": 1.0}},
+     "ell"),
+    ({"t1": 0}, "t1"),
+    ({"closure": "none"}, "closure"),
+    ({"dof": 3}, "dof"),
+    ({"format": "xml"}, "format"),
+    (["compare", "--config", "{cfg}", "--out", "{out}"], "t1"),
+    (["adiabatic", "--config", "{cfg}", "--out", "{out}"], "t1"),
+    (["brackets", "1"], "n_max"),
+    (["brackets", "3", "0"], "dof"),
+    (["simulate", "--out", ""], "out"),
 ])
 def test_non_integer_config_exits_3(tmp_path, capsys, data, key):
+    """Each bad input is named in a config error; a list is a command line,
+    where {cfg} is a config holding {"t1": 0}."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    if isinstance(data, list):
+        cfg.write_text(json.dumps({"t1": 0}))
+        argv = [arg.format(cfg=cfg, out=tmp_path) for arg in data]
+    else:
+        cfg.write_text(json.dumps(data))
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--nmax", "x"],
+    ["simulate", "--seed", "1"],
+    ["brackets", "two"],
+    ["nonsense"],
+])
+def test_usage_error_exits_3(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["--version"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+
+
+def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "simulate", broken)
+    assert cli.main(["simulate", "--out", str(tmp_path)]) == 5
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError: boom" in err and "Traceback" not in err
+
+
+def test_config_fills_initial_defaults(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"initial": {"kind": "moments", "p0": 0.5}}))
+    cfg = cli.load_config(str(path), {})
+    assert cfg["initial"] == {"kind": "moments", "q0": 1.0, "p0": 0.5, "values": {}}
+    assert "seed" not in cfg
 
 
 def test_zero_hbar_exits_3(tmp_path, capsys):
@@ -212,6 +285,13 @@ def test_brackets_bad_dof(capsys):
     assert cli.main(["brackets", "2", "3"]) == 3
 
 
+def test_brackets_positionals_beat_nmax(capsys):
+    assert cli.main(["brackets", "--nmax", "3", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_max"] == 2
+    assert cli.main(["brackets", "--nmax", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_max"] == 2
+
+
 # -- uncertainty -------------------------------------------------------------
 
 
@@ -233,6 +313,23 @@ def test_uncertainty_violated_exits_2(tmp_path):
 
 def test_uncertainty_bad_file_exits_3(tmp_path):
     assert cli.main(["uncertainty", str(tmp_path / "missing.json")]) == 3
+
+
+@pytest.mark.parametrize("state,key", [
+    ({}, "moments"),
+    ({"moments": {"G_0_2": "a"}}, "moments"),
+    ({"moments": {"G_2_1": 0.5}}, "moments"),
+    ({"hbar": "1", "moments": {"G_0_2": 0.5}}, "hbar"),
+    ({"x": {"q": None}, "moments": {"G_0_2": 0.5}}, "x"),
+    ({"moment": {"G_0_2": 0.5}}, "moment"),
+    ([], "JSON object"),
+])
+def test_uncertainty_bad_state_exits_3(tmp_path, capsys, state, key):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    assert cli.main(["uncertainty", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
 
 
 # -- order-check -------------------------------------------------------------

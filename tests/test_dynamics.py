@@ -49,23 +49,6 @@ def test_integrate_harmonic_coherent():
         assert np.allclose(traj.column(f"G_{a}_2"), val, atol=1e-10)
 
 
-def test_rk4_matches_rk45():
-    system = _harmonic_system(2)
-    s0 = _coherent_state(1.0, 1.0, 1.0, 0.5, -0.2, 2)
-    t_span = (0.0, 1.0)
-    a = dyn.integrate(system, s0, t_span, n_samples=2001, method="rk4")
-    b = dyn.integrate(system, s0, t_span, n_samples=2001, rtol=1e-11, atol=1e-13)
-    assert np.max(np.abs(a.y - b.y)) < 1e-8
-
-
-def test_rk4_reproducible():
-    system = _harmonic_system(2)
-    s0 = _coherent_state(1.0, 1.0, 1.0, 0.5, -0.2, 2)
-    a = dyn.integrate(system, s0, (0.0, 1.0), n_samples=101, method="rk4")
-    b = dyn.integrate(system, s0, (0.0, 1.0), n_samples=101, method="rk4")
-    assert np.array_equal(a.y, b.y)
-
-
 def test_integrate_rejects_bad_tolerances():
     system = _harmonic_system(2)
     s0 = _coherent_state(1.0, 1.0, 1.0, 0.0, 0.0, 2)
