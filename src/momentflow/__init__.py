@@ -28,6 +28,8 @@ from .moment_algebra import (
     bracket_moments,
     check_uncertainty_generating,
     check_uncertainty_order2,
+    gaussian_moment,
+    gaussian_pairings,
     kk_coefficient,
     moment_indices,
 )

@@ -6,10 +6,10 @@ Every config key, its default and its rule are declared once, in
 ``initial.kind``).  Each override flag sets the config key it names
 (``--nmax`` sets ``n_max``).
 
-Exit codes: 0 ok, 2 domain error, 3 config error (a rule of the schema
-fails, or the command line does not parse), 4 capacity, 5 internal error
-(any other exception, reported as ``internal error: <Type>: <message>``
-without a traceback).  ``--help`` and ``--version`` exit 0.
+Exit codes: 0 ok, 2 domain error (or numeric overflow), 3 config error (a rule
+of the schema fails, or the command line does not parse), 4 capacity, 5
+internal error (any other exception, reported as ``internal error: <Type>:
+<message>`` without a traceback).  ``--help`` and ``--version`` exit 0.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .moment_algebra import (
     check_uncertainty_order2,
     moment_indices,
 )
-from .states import squeezed_moment
+from .states import SqueezeMatrix, squeezed_moment
 
 try:
     VERSION = metadata.version("momentflow")
@@ -245,7 +245,7 @@ def initial_state(cfg: dict, model: ClassicalHamiltonian) -> SemiclassicalState:
     if init["kind"] == "coherent":
         moments = coherent_moments(n_max, m, w, hbar)
     elif init["kind"] == "squeezed":
-        g = np.asarray(init["g"], dtype=float)
+        g = SqueezeMatrix(init["g"])
         # states module works in m w = 1 units
         moments = {idx: (m * w) ** (idx.p_power - n / 2) * squeezed_moment(g, idx, hbar)
                    for n in range(2, n_max + 1) for idx in moment_indices(n, 1)}
@@ -374,12 +374,8 @@ def cmd_compare(cfg: dict) -> int:
             print(f"warning: oracle truncation tail {tail:.2e} at t={t:.3g}; "
                   "errors beyond this time are unreliable", file=sys.stderr)
             tail_warned = True
-        # second moments from q psi and p psi; the Weyl-ordered qp is Re <q psi, p psi>
-        qpsi, ppsi = space.q1 @ psi, space.p1 @ psi
-        q, p = np.vdot(psi, qpsi).real, np.vdot(psi, ppsi).real
-        for lbl, val in [("q", q), ("p", p), ("G_0_2", np.vdot(qpsi, qpsi).real - q * q),
-                         ("G_1_2", np.vdot(qpsi, ppsi).real - q * p),
-                         ("G_2_2", np.vdot(ppsi, ppsi).real - p * p)]:
+        st = orc.moments_of(psi, space, 2)
+        for lbl, val in [*st.x.items(), *((g.column_label(), v) for g, v in st.moments.items())]:
             ref.setdefault(lbl, []).append(val)
 
     HQ = expand_quantum_hamiltonian(model, cfg["n_max"])
@@ -447,6 +443,8 @@ def cmd_uncertainty(cfg: dict, state_path: str) -> int:
 def cmd_order_check(cfg: dict) -> int:
     model = build_model(cfg)
     hbars = np.geomspace(1e-3, 1e-1, 7)
+    if cfg["model"] in ("harmonic", "quartic") and model.omega <= 0:
+        raise ConfigError(f"order-check with the {cfg['model']} model needs omega > 0")
     if cfg["model"] == "harmonic":
         emb = HarmonicCoherentEmbedding(model)
     elif cfg["model"] == "quartic":
@@ -528,6 +526,9 @@ def main(argv=None) -> int:
         return 3
     except (DomainError, AdiabaticBreakdownError, StiffnessError, StateError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # finite inputs whose arithmetic leaves the float range
+        print(f"domain error: numeric overflow: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from .hamiltonian import (
     from_dimensionless,
     generate_eom,
 )
-from .moment_algebra import MomentIndex, SemiclassicalState, moment_indices
+from .moment_algebra import MomentIndex, SemiclassicalState, gaussian_moment, moment_indices
 
 __all__ = [
     "Trajectory",
@@ -169,15 +169,10 @@ def integrate(
 
 
 def coherent_tilde_moment(a: int, n: int) -> float:
-    """Dimensionless moment of a coherent (vacuum-shaped) state; zero for
-    odd a or n."""
-    if a % 2 or n % 2:
-        return 0.0
-    return (
-        math.factorial(a)
-        * math.factorial(n - a)
-        / (2**n * math.factorial(a // 2) * math.factorial((n - a) // 2))
-    )
+    """Dimensionless moment G(a, n) of a coherent (vacuum-shaped) state:
+    the Gaussian pairing sum at covariance diag(1/2, 1/2); zero for odd a
+    or n."""
+    return gaussian_moment(n - a, a, 0.5, 0.0, 0.5)
 
 
 def coherent_moments(n_max: int, m: float, w: float, hbar: float) -> dict[MomentIndex, float]:

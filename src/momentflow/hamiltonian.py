@@ -28,6 +28,7 @@ from .moment_algebra import (
     SemiclassicalState,
     _potential_order,
     bracket_general,
+    gaussian_pairings,
     moment_indices,
 )
 
@@ -196,7 +197,7 @@ def closure_apply(policy: str, idx: MomentIndex) -> MomentPolynomial:
 
     "zero" drops it; "gaussian-factorize" substitutes the Gaussian pairing
     identity (sum over perfect matchings of the n deviation factors into
-    second moments), zero for odd order.
+    second moments, ``gaussian_pairings``), zero for odd order.
     """
     if policy == "zero":
         return MomentPolynomial.zero()
@@ -204,23 +205,10 @@ def closure_apply(policy: str, idx: MomentIndex) -> MomentPolynomial:
         raise ConfigError(f"unknown closure policy {policy!r}")
     if idx.dof != 1:
         raise ClosureError(f"gaussian-factorize not defined for {idx}")
-    j, k = idx.q_powers[0], idx.p_powers[0]
-    n = j + k
-    if n % 2 == 1:
-        return MomentPolynomial.zero()
+    g_qq, g_qp, g_pp = (MomentIndex.single(a, 2) for a in range(3))
     out = MomentPolynomial.zero()
-    g_qq = MomentIndex.single(0, 2)
-    g_qp = MomentIndex.single(1, 2)
-    g_pp = MomentIndex.single(2, 2)
-    for t in range(min(j, k) + 1):
-        if (j - t) % 2:
-            continue
-        nqq, npp = (j - t) // 2, (k - t) // 2
-        count = Fraction(
-            math.factorial(j) * math.factorial(k),
-            math.factorial(nqq) * 2**nqq * math.factorial(npp) * 2**npp * math.factorial(t),
-        )
-        out = out + MomentPolynomial.term(count, gs=(g_qq,) * nqq + (g_qp,) * t + (g_pp,) * npp)
+    for count, n_qq, n_qp, n_pp in gaussian_pairings(idx.q_powers[0], idx.p_powers[0]):
+        out += MomentPolynomial.term(count, gs=(g_qq,) * n_qq + (g_qp,) * n_qp + (g_pp,) * n_pp)
     return out
 
 

@@ -39,6 +39,8 @@ __all__ = [
     "bracket_moments",
     "bracket_mixed",
     "bracket_general",
+    "gaussian_pairings",
+    "gaussian_moment",
     "check_uncertainty_order2",
     "check_uncertainty_generating",
     "GaussianDProvider",
@@ -655,6 +657,33 @@ def bracket_general(
                     piece = MomentPolynomial.term(base_c, hbar=base_h, x=base_x, gs=rest_p + rest_q)
                     out = out + piece * br
     return out
+
+
+# ---------------------------------------------------------------------------
+# Gaussian moments
+
+
+def gaussian_pairings(j: int, k: int):
+    """Perfect matchings of j q-factors and k p-factors, grouped by type.
+
+    Yields (count, n_qq, n_qp, n_pp) with n_qp ascending: ``count`` (an exact
+    int) matchings pair n_qq q's with q's, n_qp q's with p's and n_pp p's
+    with p's; nothing for odd j + k.  Every Gaussian moment in the package
+    is this Isserlis (Wick) sum.
+    """
+    if (j + k) % 2:
+        return
+    for n_qp in range(j % 2, min(j, k) + 1, 2):
+        n_qq, n_pp = (j - n_qp) // 2, (k - n_qp) // 2
+        count = math.factorial(j) * math.factorial(k) // (
+            math.factorial(n_qq) * math.factorial(n_pp) * math.factorial(n_qp) * 2 ** (n_qq + n_pp))
+        yield count, n_qq, n_qp, n_pp
+
+
+def gaussian_moment(j: int, k: int, c_qq: float, c_qp: float, c_pp: float) -> float:
+    """Weyl-ordered central moment (q - <q>)^j (p - <p>)^k of a Gaussian
+    state with second moments c_qq, c_qp (symmetrized) and c_pp."""
+    return sum((n * c_qq**a * c_qp**b * c_pp**c for n, a, b, c in gaussian_pairings(j, k)), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,17 @@ oracle, and moment-sequence reconstruction of wave functions.
 
 Weyl operators come from the Jordan recursion W_{j+1,k} = (q W_{j,k} +
 W_{j,k} q)/2 (and the same for p), which is exact because the Moyal star
-product gives (x star f + f star x)/2 = x f for x = q, p.
+product gives (x star f + f star x)/2 = x f for x = q, p.  Each
+``FockSpace`` caches the raw table W_{j,k} = W[q^j p^k]; every moment and
+bracket is a polynomial in the raw expectations <W_{j,k}>, and central
+moments are their binomial shift (``_central_poly``), so no centred
+operator is ever built.
 
 Truncation caveat: the top basis levels are polluted by the cutoff, so
 commutator identities hold only on the interior block and states must keep
 their support well below dimension D.  A Weyl operator of order n = j + k
-built from truncated q and p is exact on the block [:D - n, :D - n].
+built from truncated q and p is exact on the block [:D - n, :D - n], so an
+order-n moment is exact for a state supported on [:D - n].
 """
 
 from __future__ import annotations
@@ -83,18 +88,22 @@ class FockSpace:
         self.hbar = hbar
         self.dof = dof
         self.q1, self.p1 = fock_ops(D, m, omega, hbar)
-        self._weyl_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    @property
-    def dim(self) -> int:
-        return self.D**self.dof
+        self._weyl_cache = {(0, 0): np.eye(D, dtype=complex)}
 
     def weyl(self, j: int, k: int) -> np.ndarray:
-        """Single-mode Weyl-ordered q^j p^k (cached)."""
-        key = (j, k)
-        if key not in self._weyl_cache:
-            self._weyl_cache[key] = weyl_op(j, k, self.q1, self.p1)
-        return self._weyl_cache[key]
+        """Single-mode Weyl-ordered q^j p^k from the cached table.
+
+        A missing entry takes one Jordan step from its predecessor, W(0, k-1)
+        with p or W(j-1, k) with q: the products of ``weyl_op(j, k, q1, p1)``
+        in the same order, so the table equals it bit for bit.
+        """
+        table = self._weyl_cache
+        if (j, k) not in table:
+            chain = [(0, s) for s in range(k + 1)] + [(r, k) for r in range(1, j + 1)]
+            for prev, key in zip(chain, chain[1:]):
+                if key not in table:
+                    table[key] = _jordan_step(table[prev], self.q1 if key[0] else self.p1)
+        return table[(j, k)]
 
     def apply_modes(self, mats, psi: np.ndarray) -> np.ndarray:
         """Apply the product of per-mode operators ``mats[f]`` to psi.
@@ -130,9 +139,14 @@ def weyl_op(j: int, k: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """
     W = np.eye(q.shape[0], dtype=complex)
     for x in (p,) * k + (q,) * j:
-        xW = x @ W
-        W = (xW + xW.conj().T) / 2
+        W = _jordan_step(W, x)
     return W
+
+
+def _jordan_step(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(x W + W x)/2 for Hermitian x and W, with one matrix product."""
+    xW = x @ W
+    return (xW + xW.conj().T) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -172,44 +186,23 @@ def _expect(psi: np.ndarray, op_psi: np.ndarray) -> float:
 def moments_of(psi: np.ndarray, space: FockSpace, up_to_n: int) -> SemiclassicalState:
     """Classical point and all Weyl-ordered central moments up to order n.
 
-    Centered operators are formed per mode before symmetrization, so the
-    binomial bookkeeping happens at operator level and stays exact.
+    Each raw Weyl operator of the space's cached table is applied to psi
+    once, and each central moment is the binomial shift of the raw
+    expectations (``_central_poly``).  Exact for a state supported on the
+    block [:D - up_to_n], where the order-n operators are exact.
     """
     if space.D < 10 * up_to_n:
         warnings.warn(
             f"D={space.D} is small for moment order {up_to_n}; "
             "truncation may bite", stacklevel=2
         )
-    x = {}
-    centered = []
-    for f in range(space.dof):
-        unit = [None] * space.dof
-        unit[f] = space.q1
-        qbar = _expect(psi, space.apply_modes(unit, psi))
-        unit[f] = space.p1
-        pbar = _expect(psi, space.apply_modes(unit, psi))
-        if space.dof == 1:
-            x["q"], x["p"] = qbar, pbar
-        else:
-            x[f"q{f}"], x[f"p{f}"] = qbar, pbar
-        qc = space.q1 - qbar * np.eye(space.D)
-        pc = space.p1 - pbar * np.eye(space.D)
-        centered.append((qc, pc))
-
-    weyl_c: list[dict[tuple[int, int], np.ndarray]] = [{} for _ in range(space.dof)]
-
-    def cweyl(f, j, k):
-        if (j, k) == (0, 0):
-            return None
-        if (j, k) not in weyl_c[f]:
-            weyl_c[f][(j, k)] = weyl_op(j, k, *centered[f])
-        return weyl_c[f][(j, k)]
-
-    moments: dict[MomentIndex, float] = {}
-    for n in range(2, up_to_n + 1):
-        for idx in moment_indices(n, space.dof):
-            mats = [cweyl(f, idx.q_powers[f], idx.p_powers[f]) for f in range(space.dof)]
-            moments[idx] = _expect(psi, space.apply_modes(mats, psi))
+    point = {kind if space.dof == 1 else f"{kind}{f}": _unit(kind, f, space.dof)
+             for f in range(space.dof) for kind in "qp"}
+    polys = {idx: _central_poly(idx) for n in range(2, up_to_n + 1)
+             for idx in moment_indices(n, space.dof)}
+    _, values = _weyl_values([{(wk,): 1.0 for wk in point.values()}, *polys.values()], psi, space)
+    x = {name: values[wk] for name, wk in point.items()}
+    moments = {idx: _poly_value(poly, values) for idx, poly in polys.items()}
     return SemiclassicalState(space.hbar, x, moments, up_to_n)
 
 
@@ -218,6 +211,12 @@ def moments_of(psi: np.ndarray, space: FockSpace, up_to_n: int) -> Semiclassical
 
 #: symbol for <Weyl-ordered product>, one (j, k) pair per mode
 _WKey = tuple[tuple[int, int], ...]
+
+
+def _unit(kind: str, f: int, dof: int) -> _WKey:
+    """W key of the coordinate q_f (kind "q") or p_f (kind "p")."""
+    power = (1, 0) if kind == "q" else (0, 1)
+    return tuple(power if g == f else (0, 0) for g in range(dof))
 
 
 @lru_cache(maxsize=None)
@@ -231,26 +230,31 @@ def _central_poly(idx: MomentIndex) -> dict[tuple[_WKey, ...], float]:
     """
     N = idx.dof
     terms: dict[tuple[_WKey, ...], float] = {}
-    ranges = [range(idx.q_powers[f] + 1) for f in range(N)]
-    sranges = [range(idx.p_powers[f] + 1) for f in range(N)]
-    for rs in product(*ranges):
-        for ss in product(*sranges):
-            coeff = 1.0
-            factors: list[_WKey] = []
-            for f in range(N):
-                j, k = idx.q_powers[f], idx.p_powers[f]
-                r, s = rs[f], ss[f]
+    for rs in product(*(range(j + 1) for j in idx.q_powers)):
+        for ss in product(*(range(k + 1) for k in idx.p_powers)):
+            coeff, factors = 1.0, []
+            for f, (j, k, r, s) in enumerate(zip(idx.q_powers, idx.p_powers, rs, ss)):
                 coeff *= math.comb(j, r) * math.comb(k, s) * (-1) ** (j - r + k - s)
-                qkey = tuple((1, 0) if g == f else (0, 0) for g in range(N))
-                pkey = tuple((0, 1) if g == f else (0, 0) for g in range(N))
-                factors.extend([qkey] * (j - r))
-                factors.extend([pkey] * (k - s))
+                factors += [_unit("q", f, N)] * (j - r) + [_unit("p", f, N)] * (k - s)
             wkey = tuple(zip(rs, ss))
-            if any(sum(pair) > 0 for pair in wkey):
+            if any(r + s for r, s in wkey):
                 factors.append(wkey)
             key = tuple(sorted(factors))
             terms[key] = terms.get(key, 0.0) + coeff
     return terms
+
+
+def _weyl_values(polys, psi: np.ndarray, space: FockSpace):
+    """Apply each raw Weyl operator the W-polynomials use to psi once;
+    returns the applied vectors and their expectations, both by W key."""
+    needed = {wk for poly in polys for mono in poly for wk in mono}
+    applied = {wk: space.apply_weyl(wk, psi) for wk in needed}
+    return applied, {wk: _expect(psi, vec) for wk, vec in applied.items()}
+
+
+def _poly_value(terms, values) -> float:
+    """A W-polynomial evaluated at the raw expectations ``values``."""
+    return sum(coeff * math.prod(values[wk] for wk in mono) for mono, coeff in terms.items())
 
 
 def _poly_grad(terms, values):
@@ -280,18 +284,9 @@ def bracket_oracle(i1, i2, psi: np.ndarray, space: FockSpace) -> float:
             polys.append(_central_poly(idx))
         else:
             kind, f = (idx, 0) if isinstance(idx, str) else idx
-            key = tuple(
-                ((1, 0) if kind == "q" else (0, 1)) if g == f else (0, 0)
-                for g in range(space.dof)
-            )
-            polys.append({(key,): 1.0})
+            polys.append({(_unit(kind, f, space.dof),): 1.0})
 
-    needed: set[_WKey] = set()
-    for poly in polys:
-        for mono in poly:
-            needed.update(mono)
-    applied = {wk: space.apply_weyl(wk, psi) for wk in needed}
-    values = {wk: _expect(psi, vec) for wk, vec in applied.items()}
+    applied, values = _weyl_values(polys, psi, space)
     grads = [_poly_grad(poly, values) for poly in polys]
 
     total = 0.0

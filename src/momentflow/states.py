@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DegenerateStateError, StateError
-from .moment_algebra import MomentIndex
+from .moment_algebra import MomentIndex, gaussian_moment
 
 __all__ = [
     "EPS",
@@ -69,33 +69,22 @@ def _as_squeeze(g) -> SqueezeMatrix:
 def squeezed_moments(g, n: int, hbar: float) -> np.ndarray:
     """Order-n central moment tensor of the squeezed state, shape (2,)*n.
 
-    hbar^{n/2} n!/(2^n (n/2)!) times the symmetrized tensor power of the
-    normalized covariance; zero tensor for odd n.
+    Entry [i_1, ..., i_n] (0 = q, 1 = p) is the Gaussian pairing sum
+    ``gaussian_moment`` at the covariance (hbar/2) M M^T.  It depends only
+    on how many indices are 1, so each of the n + 1 values is computed
+    once; the tensor is zero for odd n.
     """
     if n < 2:
         raise StateError("moment order must be at least 2")
-    shape = (2,) * n
-    if n % 2:
-        return np.zeros(shape)
-    A = _as_squeeze(g).covariance(1.0) * 2  # M M^T, unit det
-    coeff = hbar ** (n // 2) * math.factorial(n) / (2**n * math.factorial(n // 2))
-    out = np.zeros(shape)
-    for idx in itertools.product(range(2), repeat=n):
-        acc = 0.0
-        for perm in itertools.permutations(range(n)):
-            prod = 1.0
-            for k in range(0, n, 2):
-                prod *= A[idx[perm[k]], idx[perm[k + 1]]]
-            acc += prod
-        out[idx] = coeff * acc / math.factorial(n)
-    return out
+    sq = _as_squeeze(g)
+    values = np.array([squeezed_moment(sq, MomentIndex.single(a, n), hbar) for a in range(n + 1)])
+    return values[np.indices((2,) * n).sum(axis=0)]
 
 
 def squeezed_moment(g, idx: MomentIndex, hbar: float) -> float:
     """Single G(a, n) entry: a p-indices and n-a q-indices of the tensor."""
-    n, a = idx.order, idx.p_power
-    tensor = squeezed_moments(g, n, hbar)
-    return float(tensor[(0,) * (n - a) + (1,) * a])
+    c = _as_squeeze(g).covariance(hbar)
+    return float(gaussian_moment(idx.order - idx.p_power, idx.p_power, c[0, 0], c[0, 1], c[1, 1]))
 
 
 def _phase_point(alpha, hbar: float) -> np.ndarray:

@@ -102,14 +102,20 @@ def test_missing_config_file_exits_3(tmp_path):
     (["brackets", "1"], "n_max"),
     (["brackets", "3", "0"], "dof"),
     (["simulate", "--out", ""], "out"),
+    (("order-check", {"model": "harmonic", "omega": 0}), "omega"),
+    (("order-check", {"model": "quartic", "omega": 0}), "omega"),
 ])
 def test_non_integer_config_exits_3(tmp_path, capsys, data, key):
     """Each bad input is named in a config error; a list is a command line,
-    where {cfg} is a config holding {"t1": 0}."""
+    where {cfg} is a config holding {"t1": 0}, and a tuple a subcommand
+    with its config."""
     cfg = tmp_path / "cfg.json"
     if isinstance(data, list):
         cfg.write_text(json.dumps({"t1": 0}))
         argv = [arg.format(cfg=cfg, out=tmp_path) for arg in data]
+    elif isinstance(data, tuple):
+        cfg.write_text(json.dumps(data[1]))
+        argv = [data[0], "--config", str(cfg), "--out", str(tmp_path)]
     else:
         cfg.write_text(json.dumps(data))
         argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path)]
@@ -136,6 +142,15 @@ def test_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "adiabatic"])
+def test_overflow_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "quartic", "m": 1e300}))
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "domain error" in err and "overflow" in err and "Traceback" not in err
 
 
 def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):

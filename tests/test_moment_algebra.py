@@ -1,10 +1,13 @@
 """Bracket algebra unit tests: closed-form brackets vs the commutator
 oracle, generating-function consistency, and uncertainty checks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentflow import oracle as orc
 from momentflow.errors import RangeError, StateError, UnsupportedProviderError
@@ -19,6 +22,8 @@ from momentflow.moment_algebra import (
     bracket_moments,
     check_uncertainty_generating,
     check_uncertainty_order2,
+    gaussian_moment,
+    gaussian_pairings,
     kk_coefficient,
     moment_indices,
 )
@@ -278,6 +283,55 @@ def test_generating_function_taylor_consistency():
         da, db = monom[0] + monom[1], monom[2] + monom[3]
         if 2 <= da <= deg and 2 <= db <= deg:
             assert sp.expand(coeff) == 0, f"monomial {monom}: {coeff}"
+
+
+# -- Gaussian pairings ------------------------------------------------------
+
+
+def _matching_sum(factors, cov):
+    """Sum over the perfect matchings of ``factors`` (0 = q, 1 = p) of the
+    product of cov[a][b] over the pairs: the first factor pairs with each
+    other one in turn, and the rest is matched recursively."""
+    if not factors:
+        return 1.0
+    first, rest = factors[0], factors[1:]
+    return sum(
+        cov[first][rest[i]] * _matching_sum(rest[:i] + rest[i + 1:], cov)
+        for i in range(len(rest))
+    )
+
+
+_powers = st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda jk: sum(jk) <= 12)
+
+
+@given(_powers)
+def test_gaussian_pairings_count_matchings(jk):
+    j, k = jk
+    pairings = list(gaussian_pairings(j, k))
+    if (j + k) % 2:
+        assert pairings == []
+        return
+    assert sum(count for count, *_ in pairings) == math.prod(range(1, j + k, 2))
+    assert [n_qp for _, _, n_qp, _ in pairings] == sorted(n_qp for _, _, n_qp, _ in pairings)
+    for count, n_qq, n_qp, n_pp in pairings:
+        assert isinstance(count, int) and count > 0
+        assert (2 * n_qq + n_qp, n_qp + 2 * n_pp) == (j, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _powers,
+    st.floats(0.05, 3.0),
+    st.floats(0.05, 3.0),
+    st.floats(-0.99, 0.99),
+)
+def test_gaussian_moment_matches_matching_sum(jk, c_qq, c_pp, rho):
+    j, k = jk
+    c_qp = rho * math.sqrt(c_qq * c_pp)
+    factors = (0,) * j + (1,) * k
+    ref = _matching_sum(factors, [[c_qq, c_qp], [c_qp, c_pp]])
+    scale = _matching_sum(factors, [[c_qq, abs(c_qp)], [abs(c_qp), c_pp]])
+    assert abs(gaussian_moment(j, k, c_qq, c_qp, c_pp) - ref) <= 1e-13 * scale
 
 
 # -- uncertainty ------------------------------------------------------------

@@ -2,13 +2,14 @@
 moment extraction, bracket oracle, and Hamburger reconstruction."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from momentflow import oracle as orc
 from momentflow.errors import CapacityError, ReconstructionError, StateError
-from momentflow.moment_algebra import MomentIndex, check_uncertainty_order2
+from momentflow.moment_algebra import MomentIndex, check_uncertainty_order2, moment_indices
 
 
 def G(a, n):
@@ -68,6 +69,8 @@ def test_weyl_op_symmetrization(space50):
     for n in range(9):
         for j in range(n + 1):
             _assert_weyl_matches_ordering_average(space50, j, n - j)
+            # the cached table takes the same Jordan steps as weyl_op
+            assert np.array_equal(space50.weyl(j, n - j), orc.weyl_op(j, n - j, space50.q1, space50.p1))
 
 
 def test_weyl_beyond_order_8():
@@ -142,6 +145,72 @@ def test_moments_pass_uncertainty(rng, space50):
         psi = orc.random_state(rng, 50)
         st = orc.moments_of(psi, space50, 2)
         assert check_uncertainty_order2(st) >= -1e-12
+
+
+def _centred_moments(psi, space, up_to_n):
+    """Reference: the classical point and every central moment from centred
+    operators, weyl_op(j, k, q - <q>, p - <p>) per mode."""
+    x, centred = {}, []
+    for f in range(space.dof):
+        mats = [None] * space.dof
+        mats[f] = space.q1
+        qbar = np.vdot(psi, space.apply_modes(mats, psi)).real
+        mats[f] = space.p1
+        pbar = np.vdot(psi, space.apply_modes(mats, psi)).real
+        x["q" if space.dof == 1 else f"q{f}"] = qbar
+        x["p" if space.dof == 1 else f"p{f}"] = pbar
+        centred.append((space.q1 - qbar * np.eye(space.D), space.p1 - pbar * np.eye(space.D)))
+    moments = {}
+    for n in range(2, up_to_n + 1):
+        for idx in moment_indices(n, space.dof):
+            mats = [
+                None if j + k == 0 else orc.weyl_op(j, k, *centred[f])
+                for f, (j, k) in enumerate(zip(idx.q_powers, idx.p_powers))
+            ]
+            moments[idx] = np.vdot(psi, space.apply_modes(mats, psi)).real
+    return x, moments
+
+
+def _assert_moments_match_centred(psi, space, up_to_n):
+    st = orc.moments_of(psi, space, up_to_n)
+    x, moments = _centred_moments(psi, space, up_to_n)
+    assert list(st.x) == list(x) and st.moments.keys() == moments.keys()
+    assert all(abs(st.x[v] - x[v]) <= 1e-14 * (1 + abs(x[v])) for v in x)
+    # round-off scale of an order-n moment: (|<q>| + sd q)^j (|<p>| + sd p)^k per mode
+    width = []
+    for f in range(space.dof):
+        sq = [0] * space.dof
+        sq[f] = 2
+        sd_q = math.sqrt(moments[MomentIndex(tuple(sq), (0,) * space.dof)])
+        sd_p = math.sqrt(moments[MomentIndex((0,) * space.dof, tuple(sq))])
+        names = ("q", "p") if space.dof == 1 else (f"q{f}", f"p{f}")
+        width.append((abs(x[names[0]]) + sd_q, abs(x[names[1]]) + sd_p))
+    for idx, ref in moments.items():
+        scale = math.prod(
+            width[f][0] ** j * width[f][1] ** k
+            for f, (j, k) in enumerate(zip(idx.q_powers, idx.p_powers))
+        )
+        assert abs(st.moments[idx] - ref) <= 1e-13 * scale, idx
+
+
+def test_moments_of_matches_centred_operators():
+    local = np.random.default_rng(8)
+    space = orc.FockSpace(80, 1.3, 0.8, 0.9)
+    for _ in range(3):
+        psi = orc.random_state(local, 80)
+        psi = orc.displacement(local.uniform(-1, 1, size=2), space) @ psi
+        _assert_moments_match_centred(psi, space, 8)
+
+
+@pytest.mark.filterwarnings("ignore:D=16 is small")
+def test_moments_of_matches_centred_operators_two_modes():
+    local = np.random.default_rng(9)
+    D = 16
+    space = orc.FockSpace(D, dof=2)
+    for _ in range(3):
+        parts = [orc.random_state(local, D, support=5) for _ in range(4)]
+        psi = np.kron(parts[0], parts[1]) + 0.5 * np.kron(parts[2], parts[3])
+        _assert_moments_match_centred(psi / np.linalg.norm(psi), space, 4)
 
 
 def test_moments_truncation_robust(rng):

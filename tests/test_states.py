@@ -1,6 +1,7 @@
 """Squeezed-state moment tensors, reconstructed density-operator elements,
 and the symplectic pull-back."""
 
+import itertools
 import json
 import math
 
@@ -68,13 +69,46 @@ def test_squeezed_moment_saturates_uncertainty(rng):
         assert g02 * g22 - g12**2 == pytest.approx(hbar**2 / 4, rel=1e-10)
 
 
-def test_squeezed_moments_match_oracle(rng, space50):
+def _permutation_tensor(g, n, hbar):
+    """Reference: hbar^{n/2} n!/(2^n (n/2)!) times the average over all n!
+    permutations of the pair products of A = M M^T, for every entry."""
+    shape = (2,) * n
+    if n % 2:
+        return np.zeros(shape)
+    A = states.SqueezeMatrix(g).covariance(1.0) * 2
+    coeff = hbar ** (n // 2) * math.factorial(n) / (2**n * math.factorial(n // 2))
+    out = np.zeros(shape)
+    for idx in itertools.product(range(2), repeat=n):
+        acc = 0.0
+        for perm in itertools.permutations(range(n)):
+            prod = 1.0
+            for k in range(0, n, 2):
+                prod *= A[idx[perm[k]], idx[perm[k + 1]]]
+            acc += prod
+        out[idx] = coeff * acc / math.factorial(n)
+    return out
+
+
+def test_squeezed_moments_match_permutation_sum():
+    local = np.random.default_rng(4)
+    for hbar in (1.0, 0.3):
+        g = local.normal(scale=0.4, size=(2, 2))
+        g = (g + g.T) / 2
+        for n in range(2, 7):
+            ref = _permutation_tensor(g, n, hbar)
+            got = states.squeezed_moments(g, n, hbar)
+            # entries that cancel are compared at the scale of the tensor
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_squeezed_moments_match_oracle(rng):
+    space = orc.FockSpace(80)
     for _ in range(3):
         g = rng.normal(scale=0.3, size=(2, 2))
         g = (g + g.T) / 2
-        psi = orc.squeezed(g, (0.0, 0.0), space50)
-        st = orc.moments_of(psi, space50, 4)
-        for n in (2, 3, 4):
+        psi = orc.squeezed(g, (0.0, 0.0), space)
+        st = orc.moments_of(psi, space, 8)
+        for n in range(2, 9):
             for a in range(n + 1):
                 pred = states.squeezed_moment(g, G(a, n), 1.0)
                 assert st.G(a, n) == pytest.approx(pred, abs=1e-8)
