@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import AdiabaticBreakdownError, ConfigError, RangeError, StiffnessError
+from .errors import AdiabaticBreakdownError, ConfigError, DomainError, RangeError, StiffnessError
 from .dynamics import Trajectory, coherent_tilde_moment
 from .hamiltonian import ClassicalHamiltonian, from_dimensionless
 from .moment_algebra import MomentIndex, SemiclassicalState, moment_indices
@@ -171,6 +171,10 @@ def effective_coefficients(q: float, config: AdiabaticConfig, H: ClassicalHamilt
         2**7 * m**3 * w**7 * (1 + u) ** 3.5
     )
     F_q = m * w**2 * q + U1 + config.C2 * hbar * U3 / (2 * m * w * math.sqrt(1 + u))
+    if not np.isfinite([m_eff, B, F_q]).all():
+        raise DomainError(
+            f"non-finite effective coefficients at q={q}: m_eff={m_eff}, B={B}, F_q={F_q}"
+        )
     return EffectiveCoefficients(m_eff, B, F_q)
 
 

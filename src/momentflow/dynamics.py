@@ -120,6 +120,10 @@ def integrate(
         s0.validate(margin_tol=1e-9)
     rhs = system.compile(s0.hbar)
     y0 = system.pack(s0)
+    finite = np.isfinite(y0)
+    if not finite.all():
+        bad = [lbl for lbl, ok in zip(system.labels(), finite) if not ok]
+        raise DomainError(f"non-finite initial state: {', '.join(bad)}")
     t_eval = np.linspace(t_span[0], t_span[1], n_samples)
 
     cosmology = system.model.kind == "cosmology"

@@ -5,6 +5,7 @@ import csv
 import filecmp
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -144,13 +145,29 @@ def test_help_and_version_exit_0(capsys, argv):
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("command", ["simulate", "adiabatic"])
-def test_overflow_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, config, words", [
+    pytest.param("simulate", {"model": "quartic", "m": 1e300}, "overflow", id="simulate"),
+    pytest.param("adiabatic", {"model": "quartic", "m": 1e300}, "overflow", id="adiabatic"),
+    pytest.param("compare", {"model": "quartic", "m": 1e-300}, "non-finite initial state",
+                 id="compare-quartic-tiny-m"),
+    pytest.param("compare", {"model": "free", "m": 1e-300}, "non-finite initial state",
+                 id="compare-free-tiny-m"),
+    pytest.param("adiabatic", {"model": "quartic", "m": 1e-300},
+                 "non-finite effective coefficients", id="adiabatic-tiny-m"),
+    pytest.param("adiabatic", {"model": "quartic", "delta": 1e300},
+                 "non-finite effective coefficients", id="adiabatic-huge-delta"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_exits_2(tmp_path, capsys, command, config, words):
+    # extreme but finite inputs whose arithmetic overflows or underflows
+    # end as a prompt domain error, not an internal error or an endless solve
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": "quartic", "m": 1e300}))
+    cfg.write_text(json.dumps(config))
+    start = time.perf_counter()
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
-    assert "domain error" in err and "overflow" in err and "Traceback" not in err
+    assert "domain error" in err and words in err and "Traceback" not in err
 
 
 def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):

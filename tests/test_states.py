@@ -4,6 +4,7 @@ and the symplectic pull-back."""
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,15 +161,19 @@ def test_rho_element_on_peak_diagonal():
 
 
 def test_rho_matrix_matches_scalar(rng):
-    Gm = states.SqueezeMatrix([[0.2, 0.05], [0.05, -0.1]]).covariance(1.0)
-    x = np.array([0.1, 0.2])
-    pts = rng.normal(size=(6, 2))
-    R = states.rho_matrix(pts, x, Gm)
-    for i in range(6):
-        for j in range(6):
-            assert R[i, j] == pytest.approx(
-                states.rho_element(pts[i], pts[j], x, Gm), rel=1e-12, abs=1e-14
-            )
+    # points spread over +-6 around an off-centre x, where the exponent is
+    # large and f(alpha) + g(alpha') + alpha^T C alpha' must cancel
+    x = np.array([0.9, -0.6])
+    for hbar in (0.37, 1.0, 2.5):
+        Gm = states.SqueezeMatrix([[0.2, 0.05], [0.05, -0.1]]).covariance(hbar)
+        pts = np.vstack([x + rng.normal(size=(4, 2)), x + rng.uniform(-6, 6, size=(8, 2))])
+        R = states.rho_matrix(pts, x, Gm, hbar)
+        for i in range(len(pts)):
+            for j in range(len(pts)):
+                assert R[i, j] == pytest.approx(
+                    states.rho_element(pts[i], pts[j], x, Gm, hbar), rel=1e-12, abs=1e-14
+                )
+        assert np.abs(R - R.conj().T).max() <= 1e-15 * np.abs(R).max()
 
 
 def _lattice(center, half_width, n):
@@ -191,6 +196,22 @@ def test_rho_trace_and_purity():
     purity = np.einsum("ab,ba->", R, R).real * w**2
     assert trace == pytest.approx(1.0, abs=1e-6)
     assert purity == pytest.approx(1.0, abs=1e-5)
+
+
+def test_rho_matrix_allocates_only_its_output():
+    # on the 41 x 41 grid of the rho-quadrature benchmark the returned
+    # matrix is the only N x N buffer (numpy reports buffers to tracemalloc)
+    Gm = states.SqueezeMatrix([[0.25, 0.1], [0.1, -0.15]]).covariance(1.0)
+    x = np.array([0.3, -0.1])
+    pts, _ = _lattice(x, 6.0, 41)
+    tracemalloc.start()
+    try:
+        R = states.rho_matrix(pts, x, Gm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R.shape == (1681, 1681)
+    assert peak <= 1.1 * R.nbytes
 
 
 def test_rho_degenerate_guard():
