@@ -357,17 +357,24 @@ def cmd_compare(cfg: dict) -> int:
         raise ConfigError("compare needs a model within oracle coverage (not cosmology)")
     if cfg["initial"]["kind"] != "coherent":
         raise ConfigError("compare supports coherent initial states")
-    space, Hop = _oracle_setup(cfg, model)
     q0, p0 = float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"])
-    vac = np.zeros(space.D, dtype=complex)
-    vac[0] = 1.0
-    psi0 = orc.displacement((q0, p0), space) @ vac
-    prop = orc.Propagator(Hop, cfg["hbar"])
-    ts = np.linspace(cfg["t0"], cfg["t1"], cfg["samples"])
+    # an input that overflows the oracle's operators gives a non-finite
+    # initial state, which integrate rejects before any sample is propagated
+    with np.errstate(over="ignore", invalid="ignore"):
+        space, Hop = _oracle_setup(cfg, model)
+        vac = np.zeros(space.D, dtype=complex)
+        vac[0] = 1.0
+        psi0 = orc.displacement((q0, p0), space) @ vac
+        st0 = orc.moments_of(psi0, space, cfg["n_max"])
+    HQ = expand_quantum_hamiltonian(model, cfg["n_max"])
+    system = generate_eom(HQ, closure=cfg["closure"])
+    traj = integrate(system, st0, (cfg["t0"], cfg["t1"]), n_samples=cfg["samples"],
+                     rtol=cfg["rtol"], atol=cfg["atol"])
 
+    prop = orc.Propagator(Hop, cfg["hbar"])
     ref: dict[str, list[float]] = {}
     tail_warned = False
-    for t in ts:
+    for t in np.linspace(cfg["t0"], cfg["t1"], cfg["samples"]):
         psi = prop(psi0, t)
         tail = float(np.sum(np.abs(psi[-max(2, space.D // 10):]) ** 2))
         if tail > 1e-8 and not tail_warned:
@@ -377,12 +384,6 @@ def cmd_compare(cfg: dict) -> int:
         st = orc.moments_of(psi, space, 2)
         for lbl, val in [*st.x.items(), *((g.column_label(), v) for g, v in st.moments.items())]:
             ref.setdefault(lbl, []).append(val)
-
-    HQ = expand_quantum_hamiltonian(model, cfg["n_max"])
-    system = generate_eom(HQ, closure=cfg["closure"])
-    st0 = orc.moments_of(psi0, space, cfg["n_max"])
-    traj = integrate(system, st0, (cfg["t0"], cfg["t1"]), n_samples=cfg["samples"],
-                     rtol=cfg["rtol"], atol=cfg["atol"])
 
     table = {}
     for lbl, vals in ref.items():

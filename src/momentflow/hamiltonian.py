@@ -120,24 +120,19 @@ class ClassicalHamiltonian:
         return self.gamma * self.kappa / 3.0
 
     def as_polynomial(self) -> MomentPolynomial:
-        if self.kind == "oscillator":
-            out = MomentPolynomial.term(Fraction(1, 2) * (1.0 / self.m), x={"p": 2})
-            if self.omega != 0.0:
-                out = out + MomentPolynomial.term(0.5 * self.m * self.omega**2, x={"q": 2})
-            # polynomial potentials expand to explicit q powers so that
-            # quadratic models stay structurally free of potential symbols
-            if self.potential.coefficients is not None:
-                for k, c in enumerate(self.potential.coefficients):
-                    if c != 0.0:
-                        out = out + MomentPolynomial.term(c, x={"q": k})
-            else:
-                out = out + MomentPolynomial.term(1.0, x={"U0": 1})
-            return out
-        coeff = -3.0 / (self.gamma**2 * self.kappa)
-        out = MomentPolynomial.term(coeff, x={"c": 2, "p": Fraction(1, 2)})
-        if self.E != 0.0:
-            out = out + MomentPolynomial.constant(self.E)
-        return out
+        if self.kind == "cosmology":
+            coeff = -3.0 / (self.gamma**2 * self.kappa)
+            return MomentPolynomial.term(coeff, x={"c": 2, "p": Fraction(1, 2)}) + self.E
+        terms = [MomentPolynomial.term(Fraction(1, 2) * (1.0 / self.m), x={"p": 2}),
+                 MomentPolynomial.term(0.5 * self.m * self.omega**2, x={"q": 2})]
+        # polynomial potentials expand to explicit q powers so that
+        # quadratic models stay structurally free of potential symbols
+        if self.potential.coefficients is not None:
+            terms += [MomentPolynomial.term(c, x={"q": k})
+                      for k, c in enumerate(self.potential.coefficients)]
+        else:
+            terms.append(MomentPolynomial.term(1.0, x={"U0": 1}))
+        return MomentPolynomial.sum(terms)
 
 
 @dataclass
@@ -168,24 +163,16 @@ def expand_quantum_hamiltonian(H: ClassicalHamiltonian, n_max: int) -> QuantumHa
         )
     qv, pv = H.xvars
     base = H.as_polynomial()
-    out = base
-    # cache mixed partials: derivs[a] after n passes holds d^n H / dp^a dq^{n-a}
-    derivs = {0: base}
+    terms = [base]
+    # mixed partials: derivs[a] after n passes holds d^n H / dp^a dq^{n-a}
+    derivs = [base]
     for n in range(1, n_max + 1):
-        nxt = {}
-        for a in range(n + 1):
-            if a == 0:
-                nxt[0] = derivs[0].diff_x(qv)
-            else:
-                nxt[a] = derivs[a - 1].diff_x(pv)
-        derivs = nxt
-        if n < 2:
-            continue
-        for a in range(n + 1):
-            coeff = Fraction(math.comb(n, a), math.factorial(n))
-            g = MomentPolynomial.moment(MomentIndex.single(a, n))
-            out = out + coeff * (derivs[a] * g)
-    return QuantumHamiltonian(out, n_max, H)
+        derivs = [derivs[0].diff_x(qv)] + [d.diff_x(pv) for d in derivs]
+        if n >= 2:
+            terms += [Fraction(math.comb(n, a), math.factorial(n))
+                      * (derivs[a] * MomentPolynomial.moment(MomentIndex.single(a, n)))
+                      for a in range(n + 1)]
+    return QuantumHamiltonian(MomentPolynomial.sum(terms), n_max, H)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +193,9 @@ def closure_apply(policy: str, idx: MomentIndex) -> MomentPolynomial:
     if idx.dof != 1:
         raise ClosureError(f"gaussian-factorize not defined for {idx}")
     g_qq, g_qp, g_pp = (MomentIndex.single(a, 2) for a in range(3))
-    out = MomentPolynomial.zero()
-    for count, n_qq, n_qp, n_pp in gaussian_pairings(idx.q_powers[0], idx.p_powers[0]):
-        out += MomentPolynomial.term(count, gs=(g_qq,) * n_qq + (g_qp,) * n_qp + (g_pp,) * n_pp)
-    return out
+    return MomentPolynomial.sum(
+        MomentPolynomial.term(count, gs=(g_qq,) * n_qq + (g_qp,) * n_qp + (g_pp,) * n_pp)
+        for count, n_qq, n_qp, n_pp in gaussian_pairings(idx.q_powers[0], idx.p_powers[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +352,23 @@ def generate_eom(HQ: QuantumHamiltonian, closure: str = "zero") -> EquationSyste
     for g in mvars:
         rhs[g] = bracket_general(MomentPolynomial.moment(g), HQ.poly, (qv, pv), scale)
 
-    # close moments above n_max
+    # close moments above n_max in one pass per term.  A term holds at most
+    # one of them, since the bilinear bracket factors have order <= n_max - 1,
+    # and its factors are sorted by order, so it is the last.  The closed terms
+    # add after the others, highest moment first.
+    closed: dict[MomentIndex, MomentPolynomial] = {}
     for var, poly in rhs.items():
-        high = [g for g in poly.moment_indices() if g.order > HQ.n_max]
-        for g in sorted(high, key=MomentIndex.sort_key, reverse=True):
-            poly = poly.subs_moment(g, closure_apply(closure, g))
-        rhs[var] = poly
+        pieces, high = [], []
+        for c, h, x, gs in poly.terms():
+            if gs and gs[-1].order > HQ.n_max:
+                high.append((gs[-1], MomentPolynomial.term(c, h, x, gs[:-1])))
+            else:
+                pieces.append(MomentPolynomial.term(c, h, x, gs))
+        for g, piece in sorted(high, key=lambda gp: gp[0].sort_key(), reverse=True):
+            if g not in closed:
+                closed[g] = closure_apply(closure, g)
+            pieces.append(piece * closed[g])
+        rhs[var] = MomentPolynomial.sum(pieces)
 
     return EquationSystem((qv, pv), mvars, rhs, HQ.model, HQ.n_max, closure)
 

@@ -21,7 +21,7 @@ rationals; floating point enters only at evaluation time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
@@ -154,19 +154,20 @@ class SymplecticMatrix:
 
 _CoeffT = Fraction | float
 
-#: classical-variable monomial: sorted tuple of (symbol, exponent)
-_XMono = tuple[tuple[str, Fraction], ...]
+#: classical-variable monomial: sorted tuple of (symbol, exponent); an
+#: exponent is an int unless fractional (a Fraction, e.g. p^{1/2})
+_XMono = tuple[tuple[str, int | Fraction], ...]
 
 
 def _as_xmono(spec: Mapping[str, object] | _XMono) -> _XMono:
-    if isinstance(spec, tuple):
-        items = spec
-    else:
-        items = tuple(spec.items())
+    items = spec if isinstance(spec, tuple) else spec.items()
     out = []
     for sym, exp in items:
-        exp = Fraction(exp) if not isinstance(exp, Fraction) else exp
-        if exp != 0:
+        if type(exp) is not int:
+            exp = Fraction(exp)
+            if exp.denominator == 1:
+                exp = exp.numerator
+        if exp:
             out.append((sym, exp))
     return tuple(sorted(out))
 
@@ -181,26 +182,34 @@ def _potential_order(sym: str) -> int | None:
 class MomentPolynomial:
     """Formal linear combination of products of moments.
 
-    Each term is ``coeff * hbar^h * (classical monomial) * G_{i1} ... G_{ik}``.
-    Coefficients stay exact rationals where they arise from bracket
-    combinatorics; model parameters may introduce floats.  Terms are kept in
-    a canonical sorted form so that structurally equal polynomials compare
+    Each term is ``coeff * hbar^h * (classical monomial) * G_{i1} ... G_{ik}``
+    under the key ``(h, x monomial, sorted moment factors)``, with ``h`` a
+    plain int.  Coefficients stay exact rationals where they arise from
+    bracket combinatorics; model parameters may introduce floats.  Zero
+    coefficients are dropped, so structurally equal polynomials compare
     equal.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple, _CoeffT] | None = None):
-        self._terms: dict[tuple, _CoeffT] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff != 0:
-                    self._terms[key] = self._terms.get(key, 0) + coeff
-            self._prune()
+        self._terms: dict[tuple, _CoeffT] = {k: c for k, c in (terms or {}).items() if c != 0}
 
-    def _prune(self):
-        for key in [k for k, v in self._terms.items() if v == 0]:
-            del self._terms[key]
+    @classmethod
+    def sum(cls, polys: Iterable["MomentPolynomial"]) -> "MomentPolynomial":
+        """Sum of ``polys``: each key's coefficient accumulates in the order
+        given, restarting from 0 where a partial sum cancels, so the result
+        equals the left fold of ``+`` bit for bit."""
+        acc: dict[tuple, _CoeffT] = {}
+        for poly in polys:
+            for key, c in poly._terms.items():
+                if key in acc:
+                    c = acc[key] + c
+                    if not c:
+                        del acc[key]
+                        continue
+                acc[key] = c
+        return cls(acc)
 
     # -- constructors ------------------------------------------------------
 
@@ -224,7 +233,7 @@ class MomentPolynomial:
     def term(
         cls,
         coeff: _CoeffT,
-        hbar: object = 0,
+        hbar: int = 0,
         x: Mapping[str, object] | _XMono = (),
         gs: Iterable[MomentIndex] = (),
     ) -> "MomentPolynomial":
@@ -238,18 +247,14 @@ class MomentPolynomial:
             if g.order == 0:
                 continue
             kept.append(g)
-        key = (Fraction(hbar), _as_xmono(x), tuple(sorted(kept, key=MomentIndex.sort_key)))
-        return cls({key: coeff}) if coeff != 0 else cls()
+        return cls({(hbar, _as_xmono(x), tuple(sorted(kept, key=MomentIndex.sort_key))): coeff})
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, float, Fraction)):
             other = MomentPolynomial.constant(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return MomentPolynomial(out)
+        return MomentPolynomial.sum((self, other))
 
     __radd__ = __add__
 
@@ -264,17 +269,13 @@ class MomentPolynomial:
             if isinstance(other, int):
                 other = Fraction(other)
             return MomentPolynomial({k: c * other for k, c in self._terms.items()})
-        out = MomentPolynomial()
         acc: dict[tuple, _CoeffT] = {}
         for (h1, x1, g1), c1 in self._terms.items():
             for (h2, x2, g2), c2 in other._terms.items():
-                merged = _merge_monos(x1, x2)
-                if any(g.order == 1 for g in g1 + g2):
-                    continue
-                key = (h1 + h2, merged, tuple(sorted(g1 + g2, key=MomentIndex.sort_key)))
+                gs = tuple(sorted(g1 + g2, key=MomentIndex.sort_key))
+                key = (h1 + h2, _merge_monos(x1, x2), gs)
                 acc[key] = acc.get(key, 0) + c1 * c2
-        out = MomentPolynomial(acc)
-        return out
+        return MomentPolynomial(acc)
 
     __rmul__ = __mul__
 
@@ -284,9 +285,6 @@ class MomentPolynomial:
         if not isinstance(other, MomentPolynomial):
             return NotImplemented
         return (self - other).is_zero()
-
-    def __hash__(self):  # pragma: no cover - polynomials are not dict keys
-        return hash(frozenset(self._terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -299,21 +297,11 @@ class MomentPolynomial:
     def terms(self):
         """Canonically sorted (coeff, hbar_power, xmono, g_factors) tuples,
         ordered by hbar power, x monomial, then moment factors."""
-        # rational powers scaled to integers on a common denominator order
-        # exactly as the Fractions do, but compare without Python calls
-        den = math.lcm(*(h.denominator for h, _, _ in self._terms),
-                       *(e.denominator for _, x, _ in self._terms for _, e in x))
-
         def key(item):
             (h, x, gs), _ = item
-            return (h.numerator * (den // h.denominator),
-                    tuple([(sym, e.numerator * (den // e.denominator)) for sym, e in x]),
-                    tuple(map(MomentIndex.sort_key, gs)))
+            return h, x, tuple(map(MomentIndex.sort_key, gs))
 
-        return [
-            (c, h, x, gs)
-            for (h, x, gs), c in sorted(self._terms.items(), key=key)
-        ]
+        return [(c, h, x, gs) for (h, x, gs), c in sorted(self._terms.items(), key=key)]
 
     def moment_indices(self) -> set[MomentIndex]:
         out = set()
@@ -357,49 +345,21 @@ class MomentPolynomial:
         """
         acc: dict[tuple, _CoeffT] = {}
         for (h, x, gs), c in self._terms.items():
-            xd = dict(x)
             for sym, e in x:
-                dep = sym == var or (var == "q" and _potential_order(sym) is not None)
-                if not dep:
-                    continue
                 if sym == var:
-                    new = dict(xd)
-                    if e == 1:
-                        del new[sym]
-                    else:
-                        new[sym] = e - 1
-                    key = (h, _as_xmono(new), gs)
-                    acc[key] = acc.get(key, 0) + c * e
-                else:
-                    k = _potential_order(sym)
-                    # e copies of U_k -> e * U_k^{e-1} U_{k+1}
-                    new = dict(xd)
-                    if e == 1:
-                        del new[sym]
-                    else:
-                        new[sym] = e - 1
+                    nxt = None
+                elif var == "q" and (k := _potential_order(sym)) is not None:
                     nxt = f"U{k + 1}"
-                    new[nxt] = new.get(nxt, Fraction(0)) + 1
-                    key = (h, _as_xmono(new), gs)
-                    acc[key] = acc.get(key, 0) + c * e
+                else:
+                    continue
+                # e copies of sym -> e * sym^{e-1}, times U_{k+1} for sym = U_k
+                new = dict(x)
+                new[sym] = e - 1
+                if nxt:
+                    new[nxt] = new.get(nxt, 0) + 1
+                key = (h, _as_xmono(new), gs)
+                acc[key] = acc.get(key, 0) + c * e
         return MomentPolynomial(acc)
-
-    def subs_moment(self, idx: MomentIndex, repl: "MomentPolynomial") -> "MomentPolynomial":
-        out = MomentPolynomial()
-        for (h, x, gs), c in self._terms.items():
-            if idx not in gs:
-                out = out + MomentPolynomial({(h, x, gs): c})
-                continue
-            rest = list(gs)
-            count = 0
-            while idx in rest:
-                rest.remove(idx)
-                count += 1
-            piece = MomentPolynomial.term(c, hbar=h, x=x, gs=rest)
-            for _ in range(count):
-                piece = piece * repl
-            out = out + piece
-        return out
 
     def evaluate(self, state: "SemiclassicalState", extra_x: Mapping[str, float] | None = None) -> float:
         """Evaluate against a state; ``U<k>`` symbols need ``state.potential``."""
@@ -427,7 +387,7 @@ class MomentPolynomial:
 def _merge_monos(x1: _XMono, x2: _XMono) -> _XMono:
     d = dict(x1)
     for sym, e in x2:
-        d[sym] = d.get(sym, Fraction(0)) + e
+        d[sym] = d.get(sym, 0) + e
     return _as_xmono(d)
 
 
@@ -527,20 +487,16 @@ def bracket_moments(i1: MomentIndex, i2: MomentIndex) -> MomentPolynomial:
     c, d = i2.q_powers, i2.p_powers
     N = i1.dof
 
-    out = MomentPolynomial()
-    for coeff, hpow, rq, rp in _bracket_linear_terms(a, b, c, d):
-        out = out + MomentPolynomial.term(coeff, hbar=hpow, gs=(MomentIndex(rq, rp),))
-
+    terms = [MomentPolynomial.term(coeff, hbar=hpow, gs=(MomentIndex(rq, rp),))
+             for coeff, hpow, rq, rp in _bracket_linear_terms(a, b, c, d)]
     for f in range(N):
         if a[f] * d[f]:
-            g1 = MomentIndex(_dec(a, f), b)
-            g2 = MomentIndex(c, _dec(d, f))
-            out = out + MomentPolynomial.term(Fraction(-a[f] * d[f]), gs=(g1, g2))
+            terms.append(MomentPolynomial.term(-a[f] * d[f], gs=(MomentIndex(_dec(a, f), b),
+                                                                 MomentIndex(c, _dec(d, f)))))
         if b[f] * c[f]:
-            g1 = MomentIndex(a, _dec(b, f))
-            g2 = MomentIndex(_dec(c, f), d)
-            out = out + MomentPolynomial.term(Fraction(b[f] * c[f]), gs=(g1, g2))
-    return out
+            terms.append(MomentPolynomial.term(b[f] * c[f], gs=(MomentIndex(a, _dec(b, f)),
+                                                                MomentIndex(_dec(c, f), d))))
+    return MomentPolynomial.sum(terms)
 
 
 def _dec(t: tuple[int, ...], f: int) -> tuple[int, ...]:
@@ -634,14 +590,10 @@ def bracket_general(
     with all classical variables.
     """
     qv, pv = xvars
-    out = MomentPolynomial()
-
-    # classical part
+    # classical part, then the moment part term by term
     dPq, dPp = P.diff_x(qv), P.diff_x(pv)
     dQq, dQp = Q.diff_x(qv), Q.diff_x(pv)
-    out = out + scale * (dPq * dQp - dPp * dQq)
-
-    # moment part, term by term
+    pieces = [scale * (dPq * dQp - dPp * dQq)]
     for cP, hP, xP, gP in P.terms():
         for cQ, hQ, xQ, gQ in Q.terms():
             if not gP or not gQ:
@@ -653,10 +605,9 @@ def bracket_general(
                 rest_p = gP[:i] + gP[i + 1 :]
                 for j, gj in enumerate(gQ):
                     rest_q = gQ[:j] + gQ[j + 1 :]
-                    br = bracket_moments(gi, gj)
                     piece = MomentPolynomial.term(base_c, hbar=base_h, x=base_x, gs=rest_p + rest_q)
-                    out = out + piece * br
-    return out
+                    pieces.append(piece * bracket_moments(gi, gj))
+    return MomentPolynomial.sum(pieces)
 
 
 # ---------------------------------------------------------------------------

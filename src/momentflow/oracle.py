@@ -39,7 +39,6 @@ __all__ = [
     "fock_ops",
     "weyl_op",
     "Propagator",
-    "evolve",
     "moments_of",
     "bracket_oracle",
     "coherent",
@@ -167,11 +166,6 @@ class Propagator:
         c = self.evecs.conj().T @ psi0
         psi = self.evecs @ (np.exp(-1j * self.evals * t / self.hbar) * c)
         return psi
-
-
-def evolve(H: np.ndarray, psi0: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
-    """One-shot evolution; build a Propagator for repeated sample times."""
-    return Propagator(H, hbar)(psi0, t)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ artifact determinism."""
 
 import csv
 import filecmp
+import hashlib
 import json
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -164,10 +166,17 @@ def test_overflow_exits_2(tmp_path, capsys, command, config, words):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     start = time.perf_counter()
-    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert "domain error" in err and words in err and "Traceback" not in err
+    if command == "compare":
+        # compare rejects the initial state before it propagates the oracle,
+        # and prints no numpy overflow warning on the way
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert err.count("\n") == 1
 
 
 def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
@@ -311,6 +320,12 @@ def test_brackets_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_max"] == 2
     assert any("4/1 * G[1,2]" in line for line in payload["brackets"])
+
+
+def test_brackets_bytes_pinned(capsys):
+    assert cli.main(["brackets", "4", "2"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "be13a13aef0d10e8ab6532690a471c06eb930628c68c28e892aab9a8f9419fb3"
 
 
 def test_brackets_bad_dof(capsys):

@@ -1,5 +1,6 @@
 """Hamiltonian expansion, closure, and generated moment ODE structure."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -321,6 +322,34 @@ def test_listing_text_deterministic():
     assert a == b
     assert a.splitlines()[1].startswith("d/dt q")
     assert "d/dt G[0,2]" in a or "d/dt G_0_2" in a or "G" in a
+
+
+# sha256 of (listing_text, listing_json); a change in term order, coefficient
+# arithmetic or formatting shows here
+LISTING_SHA256 = {
+    ("quartic", 8, "zero"): (
+        "797d110efad821a0e829242dae2300803cc4da54b50d6d9b7ccee6dea6fa913f",
+        "c7c3694ef75caaba3f407537d6c619feb1ad3f7af9b51ab0bd3e4bd50e1377bc"),
+    ("quartic", 8, "gaussian-factorize"): (
+        "8a6a56ddabae2ba73e92e2ea6f661618110736f55a917d83170af5c9bb1ea130",
+        "85b964d3aefd6696a61bab3216df83d494cd4060d44a5d420b700e1cd8d2cb4b"),
+    ("cosmology", 4, "zero"): (
+        "7385a98861a5372564fcdbaa4fdf3df3ea31ae7c016251ce10011290cb54c87a",
+        "a960ca8cf7624fbd47aad832391d9198305a041155e39ffce0a64fc77a8179ff"),
+    ("cosmology", 4, "gaussian-factorize"): (
+        "076e10c0e691b6535ed399b8107204b6be9693cf2a0d5214e2901029e1e8ef18",
+        "5d829c1d0e287ba688d233d352c03736da92e99ed28e0f13cfc615760facc9b7"),
+}
+
+
+@pytest.mark.parametrize("model, n_max, closure", sorted(LISTING_SHA256))
+def test_listing_bytes_pinned(model, n_max, closure):
+    H = (ClassicalHamiltonian(m=1.1, omega=0.9, potential=PotentialSpec.quartic(0.3))
+         if model == "quartic" else ClassicalHamiltonian(kind="cosmology", gamma=0.9, kappa=1.2))
+    system = generate_eom(expand_quantum_hamiltonian(H, n_max), closure)
+    digests = tuple(hashlib.sha256(listing.encode()).hexdigest()
+                    for listing in (system.listing_text(), system.listing_json()))
+    assert digests == LISTING_SHA256[model, n_max, closure]
 
 
 def test_listing_json_structure():

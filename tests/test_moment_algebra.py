@@ -163,6 +163,59 @@ def test_bracket_general_bilinear():
     assert bracket_general(two * a, b) == two * bracket_general(a, b)
 
 
+# -- properties on random one-DOF polynomials ------------------------------
+
+_coeff = st.fractions(-4, 4, max_denominator=6).filter(bool)
+_moment = st.integers(2, 4).flatmap(lambda n: st.integers(0, n).map(lambda a: G(a, n)))
+_term = st.builds(
+    lambda c, h, i, j, gs: MomentPolynomial.term(c, hbar=h, x={"q": i, "p": j}, gs=gs),
+    _coeff, st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.lists(_moment, max_size=2),
+)
+_poly = st.lists(_term, max_size=3).map(MomentPolynomial.sum)
+
+
+def _exact(poly):
+    # sorted terms with each coefficient's type, so that 1/2 and 0.5 differ
+    return [(type(c), c, h, x, gs) for c, h, x, gs in poly.terms()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_poly, _poly, _poly, _coeff, _coeff)
+def test_bracket_general_antisymmetric_and_bilinear(P, Q, R, a, b):
+    assert bracket_general(P, Q) + bracket_general(Q, P) == MomentPolynomial.zero()
+    lhs = bracket_general(a * P + b * R, Q)
+    assert _exact(lhs) == _exact(a * bracket_general(P, Q) + b * bracket_general(R, Q))
+    lhs = bracket_general(Q, a * P + b * R)
+    assert _exact(lhs) == _exact(a * bracket_general(Q, P) + b * bracket_general(Q, R))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_poly, _poly, _poly)
+def test_bracket_general_leibniz_rule(P, Q, R):
+    # {PQ, R} = P {Q, R} + {P, R} Q
+    lhs = bracket_general(P * Q, R)
+    assert _exact(lhs) == _exact(P * bracket_general(Q, R) + bracket_general(P, R) * Q)
+
+
+# floats whose sums round and cancel, next to exact rationals, on four keys
+# so that partial sums often cancel and restart
+_mixed_term = st.builds(
+    lambda c, i, a: MomentPolynomial.term(c, x={"q": i}, gs=(G(a, 2),)),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), 0.1, -0.1, 0.2, 0.3, -0.3,
+                     1e16, -1e16]),
+    st.integers(0, 1), st.integers(0, 1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_mixed_term, max_size=4).map(MomentPolynomial.sum), max_size=6))
+def test_polynomial_sum_is_left_fold(ps):
+    fold = MomentPolynomial.zero()
+    for p in ps:
+        fold = fold + p
+    assert _exact(MomentPolynomial.sum(ps)) == _exact(fold)
+
+
 # -- oracle cross-checks ----------------------------------------------------
 
 
@@ -227,12 +280,12 @@ def test_hbar_to_zero_limit():
 
 def test_generating_function_taylor_consistency():
     """Taylor coefficients of the characteristic-function bracket identity
-    reproduce bracket_moments exactly (rational arithmetic, degree <= 3 per
+    reproduce bracket_moments exactly (rational arithmetic, degree 2..3 per
     argument)."""
     import sympy as sp
 
     deg = 3
-    aq, ap_, bq, bp = sp.symbols("aq ap bq bp")
+    aq, ap_, bq, bp = gens = sp.symbols("aq ap bq bp")
     hb = sp.symbols("hbar", positive=True)
     Gs = {}
 
@@ -251,11 +304,20 @@ def test_generating_function_taylor_consistency():
                 total += gsym(j, k) * x**j * y**k / (sp.factorial(j) * sp.factorial(k))
         return total
 
+    def truncate(expr, lo=0):
+        # the terms of degree lo..deg in (aq, ap) and in (bq, bp)
+        return sp.Poly.from_dict({m: c for m, c in sp.Poly(expr, *gens).terms()
+                                  if lo <= m[0] + m[1] <= deg and lo <= m[2] + m[3] <= deg}, *gens)
+
+    # right side, each factor truncated to the compared degrees before the
+    # products are expanded
     top = 2 * deg
+    z = sp.Symbol("z")
     cross = aq * bp - ap_ * bq
-    rhs = (2 / hb) * sp.sin(hb * cross / 2) * D(aq + bq, ap_ + bp, top) \
-        - cross * D(aq, ap_, top) * D(bq, bp, top)
-    rhs = sp.expand(sp.series(rhs, hb, 0, 6).removeO())
+    sine = sp.series(2 / hb * sp.sin(hb * z / 2), hb, 0, 6).removeO()
+    rhs = truncate(sine.subs(z, cross)) * truncate(D(aq + bq, ap_ + bp, top)) \
+        - truncate(cross) * truncate(D(aq, ap_, top)) * truncate(D(bq, bp, top))
+    rhs = truncate(rhs.as_expr(), lo=2)
 
     # left side: chain rule over the moment coordinates
     lhs = sp.Integer(0)
@@ -276,13 +338,14 @@ def test_generating_function_taylor_consistency():
             pref1 = aq**j1 * ap_**k1 / (sp.factorial(j1) * sp.factorial(k1))
             pref2 = bq**j2 * bp**k2 / (sp.factorial(j2) * sp.factorial(k2))
             lhs += pref1 * pref2 * br
+    lhs = truncate(lhs, lo=2)
 
-    diff = sp.expand(lhs - rhs)
-    poly_diff = sp.Poly(diff, aq, ap_, bq, bp)
-    for monom, coeff in poly_diff.terms():
-        da, db = monom[0] + monom[1], monom[2] + monom[3]
-        if 2 <= da <= deg and 2 <= db <= deg:
-            assert sp.expand(coeff) == 0, f"monomial {monom}: {coeff}"
+    lhs_terms, rhs_terms = dict(lhs.terms()), dict(rhs.terms())
+    monoms = set(lhs_terms) | set(rhs_terms)
+    assert len(monoms) == 38  # every monomial of degree 2..3 in each argument that occurs
+    for monom in monoms:
+        coeff = lhs_terms.get(monom, 0) - rhs_terms.get(monom, 0)
+        assert sp.expand(coeff) == 0, f"monomial {monom}: {coeff}"
 
 
 # -- Gaussian pairings ------------------------------------------------------
