@@ -60,7 +60,6 @@ from .dynamics import (
     free_particle_moments,
     harmonic_analytic,
     integrate,
-    mode_matrix,
     order_check,
 )
 from .adiabatic import (

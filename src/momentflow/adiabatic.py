@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import AdiabaticBreakdownError, ConfigError, DomainError, RangeError, StiffnessError
-from .dynamics import Trajectory, coherent_tilde_moment
+from .dynamics import TOO_SMALL_STEP, Trajectory, coherent_tilde_moment, dormand_prince
 from .hamiltonian import ClassicalHamiltonian, from_dimensionless
 from .moment_algebra import MomentIndex, SemiclassicalState, moment_indices
 
@@ -205,28 +204,22 @@ def solve_effective(
     # acceleration so the root finder can localize the crossing
     event_eps = 1e4 * BREAKDOWN_EPS
 
-    def rhs(t, y):
+    def rhs(y):
         try:
-            return [y[1], _qddot(y[0], y[1], config, H, hbar)]
+            return np.array([y[1], _qddot(y[0], y[1], config, H, hbar)])
         except AdiabaticBreakdownError:
-            return [y[1], 0.0]
+            return np.array([y[1], 0.0])
 
-    def breakdown(t, y):
+    def breakdown(y):
         mw2 = H.m * H.omega**2
         return 1 + H.potential.derivative(y[0], 2) / mw2 - event_eps
 
-    breakdown.terminal = True
-    breakdown.direction = -1
-
     t_eval = np.linspace(t_span[0], t_span[1], n_samples)
-    sol = solve_ivp(rhs, t_span, [q0, qdot0], t_eval=t_eval, rtol=rtol, atol=atol, events=[breakdown])
-    if sol.status == -1:
-        raise StiffnessError(f"effective integration failed: {sol.message}", t=sol.t[-1] if sol.t.size else None)
-    complete = sol.status == 0
+    run = dormand_prince(rhs, [q0, qdot0], t_eval, rtol, atol, event=breakdown)
 
     m, w = H.m, H.omega
     rows = []
-    for q, qd in zip(sol.y[0], sol.y[1]):
+    for q, qd in run.y:
         qdd = _qddot(q, qd, config, H, hbar)
         g02 = g0_moments(q, 2, 0, config, H) + g2_correction(q, qd, qdd, config, H)
         g12 = g1_correction(qd, q, config, H)
@@ -241,9 +234,14 @@ def solve_effective(
             ]
         )
     labels = ["q", "qdot", "G_0_2", "G_1_2", "G_2_2"]
-    stats = {"nfev": int(sol.nfev), "rtol": rtol, "atol": atol}
+    stats = {"nfev": run.nfev, "nsteps": run.nsteps, "nrejected": run.nrejected,
+             "rtol": rtol, "atol": atol}
     meta = {"C2": config.C2, "e": config.e}
-    return Trajectory(sol.t, np.array(rows), labels, hbar, stats, meta, complete=complete)
+    traj = Trajectory(run.t, np.array(rows), labels, hbar, stats, meta, complete=run.status == 0)
+    if run.status == -1:
+        raise StiffnessError(f"effective integration failed near t={run.t_stop}: {TOO_SMALL_STEP}",
+                             run.t_stop, traj)
+    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -295,19 +295,13 @@ def cmd_simulate(cfg: dict) -> int:
             system, s0, (cfg["t0"], cfg["t1"]), n_samples=cfg["samples"],
             rtol=cfg["rtol"], atol=cfg["atol"],
         )
-    except (StiffnessError, DomainError) as exc:
-        # salvage the part of the run before the failure time so the user
-        # still gets a flagged partial trajectory
-        t_fail = getattr(exc, "t", None)
-        if t_fail is None or t_fail <= cfg["t0"]:
+    except StiffnessError as exc:
+        # write the samples reached before the failure as a flagged partial
+        # trajectory on the requested time grid
+        traj = exc.trajectory
+        if traj.t.size == 0:
             raise
-        failure = str(exc)
-        traj = integrate(
-            system, s0, (cfg["t0"], cfg["t0"] + 0.9 * (t_fail - cfg["t0"])),
-            n_samples=cfg["samples"], rtol=cfg["rtol"], atol=cfg["atol"],
-        )
-        traj.complete = False
-        traj.meta["failure"] = failure
+        failure = traj.meta["failure"] = str(exc)
     for path in _write_trajectory(traj, cfg, "trajectory"):
         print(path)
     if not traj.complete:

@@ -1,8 +1,9 @@
 """Trajectory integration, closed-form reference solutions, and the
 order-scaling diagnostic for truncated moment systems.
 
-All dynamics here is single degree of freedom.  The integrator is an
-adaptive embedded Runge-Kutta 5(4) pair (scipy).
+All dynamics here is single degree of freedom.  The integrator is the
+adaptive Dormand-Prince 5(4) pair of ``dormand_prince``, a port of the RK45
+stepper of scipy.integrate that reproduces its output bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .errors import DomainError, RangeError, StateError, StiffnessError
 from .hamiltonian import (
@@ -28,6 +27,8 @@ from .moment_algebra import MomentIndex, SemiclassicalState, gaussian_moment, mo
 
 __all__ = [
     "Trajectory",
+    "StepperRun",
+    "dormand_prince",
     "integrate",
     "HarmonicModeConstants",
     "harmonic_analytic",
@@ -55,8 +56,8 @@ class Trajectory:
     """Sampled solution plus integrator bookkeeping.
 
     ``y`` has one row per sample in the variable order of ``labels``.
-    ``complete`` is False when a domain guard (e.g. cosmology p -> 0) or an
-    adiabatic breakdown stopped the run early.
+    ``complete`` is False when a domain guard (e.g. cosmology p -> 0), an
+    adiabatic breakdown or a step-size collapse stopped the run early.
     """
 
     t: np.ndarray
@@ -103,6 +104,230 @@ class Trajectory:
             json.dump(payload, fh, indent=2, sort_keys=True)
 
 
+# ---------------------------------------------------------------------------
+# Dormand-Prince 5(4) stepper
+#
+# The RK45 of scipy.integrate 1.17.1 (rk.py, common.py, ivp.py), cut down to
+# what integrate and adiabatic.solve_effective use: an autonomous RHS, samples
+# at t_eval from the quartic dense output, and one terminal event on a
+# downward zero crossing.  Every float operation is scipy's, in its order and
+# on arrays of its shapes (so the same BLAS calls run), which keeps the
+# trajectories bit for bit those of solve_ivp(method="RK45", t_eval=...).
+# The RHS takes no t, so stage times are never formed.
+
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980); dense output with
+# Shampine's c_6, Math. Comp. 46 (1986)
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_EPS = np.finfo(float).eps
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _rms(x: np.ndarray) -> np.float64:
+    # scipy's np.linalg.norm(x) / sqrt(size) without norm's checks; a numpy
+    # scalar, so that dividing by a zero norm gives inf as it does in scipy
+    return np.sqrt(x.dot(x)) / x.size**0.5
+
+
+def _initial_step(fun, y0, f0, interval_length, direction, rtol, atol):
+    """First step size (Hairer, Norsett & Wanner, Sec. II.4), as scipy's
+    ``select_initial_step`` with max_step = inf and error order 4."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(y0 + h0 * direction * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f bracketed by [xa, xb], by Brent's method step for step as
+    scipy.optimize.brentq runs it with xtol = rtol = 4 eps.  Where brentq
+    raises after 100 iterations without convergence, this returns the last
+    iterate."""
+    xtol = rtol = 4 * _EPS
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # in C the step is inf or NaN, which bisects
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    return xcur
+
+
+@dataclass
+class StepperRun:
+    """What ``dormand_prince`` returns.
+
+    ``t`` holds the samples of t_eval up to ``t_stop`` and ``y`` one row per
+    sample.  ``status`` is 0 when the run reached t_eval[-1], 1 when the
+    event stopped it at ``t_stop``, and -1 when the step size fell below ten
+    ulps of ``t_stop``, the time of the last accepted step.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    t_stop: float
+    status: int
+    nfev: int
+    nsteps: int
+    nrejected: int
+
+
+def dormand_prince(fun, y0, t_eval, rtol: float, atol: float, event=None) -> StepperRun:
+    """Integrate y' = fun(y) from t_eval[0] to t_eval[-1] with the adaptive
+    Dormand-Prince 5(4) pair, sampled at t_eval by the dense output.
+
+    ``event(y)``, when given, ends the run where it first crosses zero from
+    above; Brent's method locates the crossing on the dense output.  An rtol
+    below 100 eps is raised to it, as scipy does.  numpy floating-point
+    warnings are off inside the run: a state that overflows ends it with
+    status -1 instead.
+    """
+    t, t_bound = float(t_eval[0]), float(t_eval[-1])
+    if t == t_bound:
+        raise StateError("integration needs t_eval[-1] != t_eval[0]")
+    direction = 1.0 if t_bound > t else -1.0
+    rtol = max(rtol, 100 * _EPS)
+    y = np.asarray(y0, dtype=float)
+    K = np.empty((7, y.size))
+    stages = [(K[:s].T, _A[s, :s]) for s in range(1, 6)]
+    KT, KBT = K.T, K[:-1].T
+    key = direction * t_eval  # increasing, so searchsorted finds the samples passed
+    ts, ys, i = [], [], 0
+    nfev, nsteps, nrejected, status = 2, 0, 0, None
+    with np.errstate(all="ignore"):
+        f = fun(y)
+        h_abs = _initial_step(fun, y, f, abs(t_bound - t), direction, rtol, atol)
+        g = event(y) if event is not None else None
+        while status is None:
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if not h_abs >= min_step:  # a NaN step size ends the run too
+                    status, t_stop = -1, t
+                    break
+                t_new = t + h_abs * direction
+                if direction * (t_new - t_bound) > 0:
+                    t_new = t_bound
+                h = t_new - t
+                h_abs = abs(h)
+                K[0] = f
+                for s, (KsT, a) in enumerate(stages, start=1):
+                    K[s] = fun(y + np.dot(KsT, a) * h)
+                y_new = y + h * np.dot(KBT, _B)
+                f_new = K[-1] = fun(y_new)
+                nfev += 6
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                err = np.dot(KT, _E)
+                err *= h
+                err /= scale
+                error_norm = _rms(err)
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = _MAX_FACTOR
+                    else:
+                        factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                rejected = True
+                nrejected += 1
+            if status == -1:
+                break
+            nsteps += 1
+            t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+            if direction * (t - t_bound) >= 0:
+                status = 0
+            Q = None
+            t_stop = t
+            if event is not None:
+                g_new = event(y)
+                if g >= 0 and g_new <= 0:
+                    Q = K.T.dot(_P)
+
+                    def dense_at(s):
+                        p = np.cumprod(np.tile((s - t_old) / h, 4))
+                        return h * np.dot(Q, p) + y_old
+
+                    t_stop = _brentq(lambda s: event(dense_at(s)), t_old, t)
+                    status = 1
+                g = g_new
+            j = int(np.searchsorted(key, direction * t_stop, side="right"))
+            if j > i:
+                Q = K.T.dot(_P) if Q is None else Q
+                p = np.cumprod(np.tile((t_eval[i:j] - t_old) / h, (4, 1)), axis=0)
+                y_dense = h * np.dot(Q, p)
+                y_dense += y_old[:, None]
+                ts.append(t_eval[i:j])
+                ys.append(y_dense)
+                i = j
+    y_out = np.hstack(ys).T if ys else np.empty((0, y.size))
+    t_out = np.hstack(ts) if ts else np.empty(0)
+    return StepperRun(t_out, y_out, t_stop, status, nfev, nsteps, nrejected)
+
+
 def integrate(
     system: EquationSystem,
     s0: SemiclassicalState,
@@ -113,7 +338,11 @@ def integrate(
     validate: bool = True,
 ) -> Trajectory:
     """Integrate the moment ODE system from the given initial state with
-    RK45, sampled at ``n_samples`` equally spaced times."""
+    ``dormand_prince``, sampled at ``n_samples`` equally spaced times.
+
+    A step-size collapse raises StiffnessError carrying the stop time and
+    the samples reached before it as an incomplete trajectory.
+    """
     if rtol <= 0 or atol <= 0:
         raise StateError("tolerances must be positive")
     if validate:
@@ -126,45 +355,25 @@ def integrate(
         raise DomainError(f"non-finite initial state: {', '.join(bad)}")
     t_eval = np.linspace(t_span[0], t_span[1], n_samples)
 
-    cosmology = system.model.kind == "cosmology"
-    complete = True
-    stats: dict = {"method": "rk45", "rtol": rtol, "atol": atol}
-
-    events = None
-    if cosmology:
+    p_guard = None
+    if system.model.kind == "cosmology":
         p_index = system.variables.index("p")
         # stop well before the p^{-1/2} singularity makes stepping fail
         p_floor = max(1e-12, 1e-6 * abs(y0[p_index]))
 
-        def p_guard(t, y):
+        def p_guard(y):
             return y[p_index] - p_floor
 
-        p_guard.terminal = True
-        p_guard.direction = -1
-        events = [p_guard]
-
-    sol = solve_ivp(
-        lambda t, y: rhs(y),
-        t_span,
-        y0,
-        method="RK45",
-        t_eval=t_eval,
-        rtol=rtol,
-        atol=atol,
-        dense_output=False,
-        events=events,
-    )
-    if sol.status == -1:
-        t_fail = sol.t[-1] if sol.t.size else t_span[0]
-        if np.any(~np.isfinite(sol.y)):
-            raise DomainError(f"non-finite right-hand side near t={t_fail}")
-        raise StiffnessError(f"integration failed near t={t_fail}: {sol.message}", t=t_fail)
-    if sol.status == 1:  # terminal event: domain guard hit
-        complete = False
-    stats.update({"nfev": int(sol.nfev), "status": int(sol.status)})
-    traj = Trajectory(
-        sol.t, sol.y.T, system.labels(), s0.hbar, stats, system=system, complete=complete
-    )
+    run = dormand_prince(rhs, y0, t_eval, rtol, atol, event=p_guard)
+    stats = {"method": "rk45", "rtol": rtol, "atol": atol, "nfev": run.nfev,
+             "nsteps": run.nsteps, "nrejected": run.nrejected, "status": run.status}
+    traj = Trajectory(run.t, run.y, system.labels(), s0.hbar, stats, system=system,
+                      complete=run.status == 0)
+    if run.status == -1:
+        if not np.isfinite(run.y).all():
+            raise DomainError(f"non-finite right-hand side near t={run.t_stop}")
+        raise StiffnessError(f"integration failed near t={run.t_stop}: {TOO_SMALL_STEP}",
+                             run.t_stop, traj)
     return traj
 
 
@@ -219,24 +428,20 @@ class HarmonicModeConstants:
         return g02, g12, g22
 
 
-def mode_matrix(n: int) -> np.ndarray:
-    """Generator of the order-n dimensionless moment rotation:
-    (d/d theta) G(a) = (n - a) G(a+1) - a G(a-1)."""
-    M = np.zeros((n + 1, n + 1))
-    for a in range(n + 1):
-        if a + 1 <= n:
-            M[a, a + 1] = n - a
-        if a - 1 >= 0:
-            M[a, a - 1] = -a
-    return M
+def _power_coefficients(k: int, u: float, v: float) -> np.ndarray:
+    """Coefficients of (u X + v P)^k by ascending power of P."""
+    return np.array([math.comb(k, j) * u ** (k - j) * v**j for j in range(k + 1)])
 
 
 def harmonic_analytic(A: "HarmonicModeConstants | np.ndarray", n: int, theta: float) -> np.ndarray:
     """Dimensionless moments G(a, n), a = 0..n, at phase angle theta.
 
     ``A`` is either the order-2 mode constants or, for general n, the raw
-    amplitude vector (the moment values at theta = 0); the solution is
-    exp(theta M) applied to it.
+    amplitude vector (the moment values at theta = 0).  The flow
+    (d/d theta) G(a) = (n - a) G(a+1) - a G(a-1) is the n-fold symmetric
+    power of the rotation (X, P) -> (c X + s P, -s X + c P), c = cos theta,
+    s = sin theta: G(a) at theta is sum_b T_ab G(b) at 0, with T_ab the
+    coefficient of X^{n-b} P^b in (c X + s P)^{n-a} (-s X + c P)^a.
     """
     if n < 2:
         raise RangeError("need n >= 2")
@@ -248,7 +453,12 @@ def harmonic_analytic(A: "HarmonicModeConstants | np.ndarray", n: int, theta: fl
         vec = np.asarray(A, dtype=float)
         if vec.size != n + 1:
             raise RangeError(f"amplitude vector must have length {n + 1}")
-    return expm(theta * mode_matrix(n)) @ vec
+    c, s = math.cos(theta), math.sin(theta)
+    T = np.array([
+        np.convolve(_power_coefficients(n - a, c, s), _power_coefficients(a, -s, c))
+        for a in range(n + 1)
+    ])
+    return T @ vec
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,16 @@ class DomainError(MomentflowError, ValueError):
 
 
 class StiffnessError(MomentflowError, RuntimeError):
-    """Step-size underflow during integration."""
+    """Step-size underflow during integration.
 
-    def __init__(self, message, t=None):
+    ``t`` is where the stepper stopped and ``trajectory`` the incomplete
+    trajectory of the samples it reached before that.
+    """
+
+    def __init__(self, message, t, trajectory):
         super().__init__(message)
         self.t = t
+        self.trajectory = trajectory
 
 
 class CapacityError(MomentflowError, ValueError):

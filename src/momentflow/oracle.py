@@ -29,7 +29,6 @@ from itertools import product
 
 import numpy as np
 from numpy.polynomial import hermite as np_hermite
-from scipy.linalg import expm
 
 from .errors import CapacityError, ReconstructionError, StateError
 from .moment_algebra import MomentIndex, SemiclassicalState, moment_indices
@@ -314,6 +313,8 @@ def coherent(alpha: complex, D: int) -> np.ndarray:
 
 def displacement(x_point, space: FockSpace) -> np.ndarray:
     """exp((i/hbar)(p0 q - q0 p)) shifting the state to the phase-space point."""
+    from scipy.linalg import expm  # imported here: only oracle runs need scipy
+
     q0, p0 = x_point
     gen = (1j / space.hbar) * (p0 * space.q1 - q0 * space.p1)
     return expm(gen)
@@ -324,6 +325,8 @@ def squeezed(g: np.ndarray, x_point, space: FockSpace) -> np.ndarray:
 
     g is real symmetric 2x2 acting on the centered pair (qhat-q, phat-p).
     """
+    from scipy.linalg import expm
+
     g = np.asarray(g, dtype=float)
     if g.shape != (2, 2) or not np.allclose(g, g.T):
         raise StateError("squeeze matrix must be real symmetric 2x2")
@@ -447,6 +450,8 @@ class OracleDProvider:
         self._pc = (space.p1 - st.x["p"] * np.eye(space.D)).astype(complex)
 
     def D(self, alpha) -> float:
+        from scipy.linalg import expm
+
         alpha = np.asarray(alpha, dtype=float)
         gen = alpha[0] * self._qc + alpha[1] * self._pc
         return _expect(self.psi, expm(gen) @ self.psi)

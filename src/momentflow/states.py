@@ -5,8 +5,8 @@ squeezed-state subspace.
 Everything here works in m*omega = 1 units; unit conversion is the
 caller's job.  Index convention: x^1 = q, x^2 = p, eps = [[0, 1], [-1, 0]].
 
-The squeeze map uses M = expm(-eps g).  The transpose placement
-(expm(-eps g) vs expm(g eps)) is fixed by matching the exact Fock-space
+The squeeze map is M = exp(-eps g).  The transpose placement
+(exp(-eps g) vs exp(g eps)) is fixed by matching the exact Fock-space
 state exp((i/2 hbar) g_ij (xhat - x)^i (xhat - x)^j) D(x) |0>; the two
 readings of the index-free display differ by exactly this transpose.
 """
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DegenerateStateError, StateError
 from .moment_algebra import MomentIndex, gaussian_moment
@@ -52,7 +51,21 @@ class SqueezeMatrix:
         if g.shape != (2, 2) or not np.allclose(g, g.T, atol=0):
             raise StateError("squeeze matrix must be exactly symmetric 2x2")
         self.g = g
-        self.map = expm(-EPS @ g)
+        # A = -eps g is trace-free, so A^2 = -det(g) 1 and exp(A) = C 1 + S A
+        # with C, S = cosh k, sinh(k)/k for det g = -k^2 < 0, cos k, sin(k)/k
+        # for det g = k^2 > 0, and their common limit 1, 1 at det g = 0.  A g
+        # too large for the float range gives a non-finite map, not a warning.
+        A = -EPS @ g
+        with np.errstate(all="ignore"):
+            det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+            k = np.sqrt(abs(det))
+            if k == 0:
+                C, S = 1.0, 1.0
+            elif det < 0:
+                C, S = np.cosh(k), np.sinh(k) / k
+            else:
+                C, S = np.cos(k), np.sin(k) / k
+            self.map = C * np.eye(2) + S * A
 
     def __repr__(self):
         return f"SqueezeMatrix({self.g.tolist()})"

@@ -5,7 +5,11 @@ import csv
 import filecmp
 import hashlib
 import json
+import math
 import os
+import re
+import subprocess
+import sys
 import time
 import warnings
 
@@ -148,21 +152,33 @@ def test_help_and_version_exit_0(capsys, argv):
 
 
 @pytest.mark.parametrize("command, config, words", [
-    pytest.param("simulate", {"model": "quartic", "m": 1e300}, "overflow", id="simulate"),
-    pytest.param("adiabatic", {"model": "quartic", "m": 1e300}, "overflow", id="adiabatic"),
-    pytest.param("compare", {"model": "quartic", "m": 1e-300}, "non-finite initial state",
-                 id="compare-quartic-tiny-m"),
-    pytest.param("compare", {"model": "free", "m": 1e-300}, "non-finite initial state",
-                 id="compare-free-tiny-m"),
+    pytest.param("simulate", {"model": "quartic", "m": 1e300}, "domain error: numeric overflow",
+                 id="simulate"),
+    pytest.param("adiabatic", {"model": "quartic", "m": 1e300}, "domain error: numeric overflow",
+                 id="adiabatic"),
+    pytest.param("compare", {"model": "quartic", "m": 1e-300},
+                 "domain error: non-finite initial state", id="compare-quartic-tiny-m"),
+    pytest.param("compare", {"model": "free", "m": 1e-300},
+                 "domain error: non-finite initial state", id="compare-free-tiny-m"),
     pytest.param("adiabatic", {"model": "quartic", "m": 1e-300},
-                 "non-finite effective coefficients", id="adiabatic-tiny-m"),
+                 "domain error: non-finite effective coefficients", id="adiabatic-tiny-m"),
     pytest.param("adiabatic", {"model": "quartic", "delta": 1e300},
-                 "non-finite effective coefficients", id="adiabatic-huge-delta"),
+                 "domain error: non-finite effective coefficients", id="adiabatic-huge-delta"),
+    # the RHS overflows at once: the stepper stops in its first steps
+    pytest.param("simulate", {"model": "quartic", "delta": 1e300},
+                 "trajectory incomplete: integration failed near t=", id="simulate-huge-delta"),
+    pytest.param("compare", {"model": "quartic", "delta": 1e300},
+                 "domain error: integration failed near t=", id="compare-huge-delta"),
+    pytest.param("simulate", {"initial": {"kind": "squeezed", "g": [[1e3, 0], [0, -1e3]]}},
+                 "domain error: non-finite initial state", id="simulate-huge-squeeze"),
+    pytest.param("simulate", {"initial": {"kind": "squeezed", "g": [[1e200, 0], [0, 1e200]]}},
+                 "domain error: non-finite initial state", id="simulate-huge-rotation"),
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_exits_2(tmp_path, capsys, command, config, words):
     # extreme but finite inputs whose arithmetic overflows or underflows
-    # end as a prompt domain error, not an internal error or an endless solve
+    # end as a prompt domain error, not an internal error or an endless solve,
+    # and print no numpy overflow warning on the way
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     start = time.perf_counter()
@@ -171,11 +187,10 @@ def test_overflow_exits_2(tmp_path, capsys, command, config, words):
         assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
-    assert "domain error" in err and words in err and "Traceback" not in err
+    assert words in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if command == "compare":
-        # compare rejects the initial state before it propagates the oracle,
-        # and prints no numpy overflow warning on the way
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # compare rejects the run before it propagates the oracle
         assert err.count("\n") == 1
 
 
@@ -222,6 +237,9 @@ def test_simulate_harmonic_artifacts(tmp_path, capsys):
     meta = json.loads((tmp_path / "trajectory.meta.json").read_text())
     assert meta["complete"] is True
     assert meta["meta"]["config"]["model"] == "harmonic"
+    stats = meta["stats"]
+    assert stats["nsteps"] > 0 and stats["nrejected"] >= 0
+    assert stats["nfev"] == 2 + 6 * (stats["nsteps"] + stats["nrejected"])
 
 
 def test_simulate_json_format(tmp_path):
@@ -253,6 +271,44 @@ def test_simulate_cosmology_partial_exits_2(tmp_path, capsys):
     assert "incomplete" in captured.err
     meta = json.loads((tmp_path / "trajectory.meta.json").read_text())
     assert meta["complete"] is False
+
+
+def test_simulate_divergence_writes_partial_on_requested_grid(tmp_path, capsys):
+    # the truncated quartic system with delta = -5 diverges at t = 1.72752;
+    # the partial CSV holds the requested samples up to there, and the
+    # message names where the stepper stopped, not the last sample
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "quartic", "delta": -5}))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "trajectory incomplete" in err and "Traceback" not in err
+    t_stop = float(re.search(r"near t=([0-9.e+-]+):", err)[1])
+    assert t_stop == pytest.approx(1.7275238, abs=1e-6)
+    t = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1, usecols=0)
+    grid = np.linspace(0.0, 2 * math.pi, 201)
+    assert 1 < t.size < grid.size
+    assert np.array_equal(t, grid[:t.size]) and grid[t.size] > t_stop
+    meta = json.loads((tmp_path / "trajectory.meta.json").read_text())
+    assert meta["complete"] is False and meta["stats"]["status"] == -1
+    assert meta["meta"]["failure"] in err
+
+
+def test_simulate_and_adiabatic_import_no_scipy(tmp_path):
+    # scipy is only for the oracle; in a fresh process, importing every
+    # module and running simulate and adiabatic must not load it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = f"""
+import sys
+import momentflow, momentflow.cli, momentflow.oracle
+assert momentflow.cli.main(["simulate", "--model", "quartic", "--out", {str(tmp_path)!r}]) == 0
+assert momentflow.cli.main(["adiabatic", "--model", "quartic", "--out", {str(tmp_path)!r}]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- adiabatic ---------------------------------------------------------------

@@ -7,11 +7,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
+from momentflow import adiabatic as adi
+from momentflow import cli
 from momentflow import dynamics as dyn
 from momentflow.errors import DomainError, RangeError, StateError, StiffnessError
 from momentflow.hamiltonian import (
     ClassicalHamiltonian,
+    PotentialSpec,
     expand_quantum_hamiltonian,
     from_dimensionless,
     generate_eom,
@@ -72,6 +79,91 @@ def test_time_reversal():
     s1 = fwd.state(-1)
     back = dyn.integrate(system, s1, (2.0, 0.0), rtol=1e-11, atol=1e-13)
     assert np.allclose(back.y[-1], system.pack(s0), atol=1e-7)
+
+
+# -- the stepper against scipy's RK45 ----------------------------------------
+
+
+def _solve_ivp(fun, y0, t_eval, rtol, atol, event=None):
+    """scipy's RK45 on the stepper's inputs (fun and event take y only)."""
+    events = None
+    if event is not None:
+        def events(t, y):
+            return event(y)
+
+        events.terminal, events.direction = True, -1
+    return solve_ivp(lambda t, y: fun(y), (t_eval[0], t_eval[-1]), y0, method="RK45",
+                     t_eval=t_eval, rtol=rtol, atol=atol, events=events)
+
+
+@pytest.mark.parametrize("model, n_max, backward", [
+    ("harmonic", 3, False), ("harmonic", 8, False),
+    ("quartic", 3, False), ("quartic", 8, False), ("quartic", 3, True),
+])
+def test_integrate_bit_identical_to_solve_ivp(model, n_max, backward):
+    cfg = cli.load_config(None, {"model": model, "n_max": n_max})
+    H = cli.build_model(cfg)
+    system = generate_eom(expand_quantum_hamiltonian(H, n_max), closure=cfg["closure"])
+    s0 = cli.initial_state(cfg, H)
+    span = (cfg["t1"], cfg["t0"]) if backward else (cfg["t0"], cfg["t1"])
+    traj = dyn.integrate(system, s0, span, cfg["samples"], cfg["rtol"], cfg["atol"])
+    sol = _solve_ivp(system.compile(s0.hbar), system.pack(s0), np.linspace(*span, cfg["samples"]),
+                     cfg["rtol"], cfg["atol"])
+    assert sol.status == 0 and traj.complete
+    assert np.array_equal(traj.t, sol.t) and np.array_equal(traj.y, sol.y.T)
+    assert traj.stats["nfev"] == sol.nfev
+
+
+def _quartic_collapse():
+    params = dyn.CosmologyParams(hbar=1e-6)
+    model = ClassicalHamiltonian(kind="cosmology", gamma=1.0, kappa=1.0, E=1.0)
+    system = generate_eom(expand_quantum_hamiltonian(model, 2))
+    s0 = SemiclassicalState(1e-6, {"c": -0.5, "p": 1.0}, {G(a, 2): 0.0 for a in range(3)}, 2)
+    return dyn.integrate(system, s0, (0.0, 100.0), validate=False)
+
+
+def _adiabatic_breakdown():
+    H = ClassicalHamiltonian(potential=PotentialSpec(coefficients=[0.0, 0.0, 0.0, -0.2]))
+    return adi.solve_effective(adi.AdiabaticConfig(), H, 1e-6, 0.2, 1.2, (0.0, 10.0))
+
+
+@pytest.mark.parametrize("run", [_quartic_collapse, _adiabatic_breakdown],
+                         ids=["cosmology-p-guard", "adiabatic-breakdown"])
+def test_event_runs_match_solve_ivp(run, monkeypatch):
+    # spy on the stepper to replay its own RHS and event through scipy
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, stepper(*args, **kwargs)))
+        return calls[-1][2]
+
+    stepper = dyn.dormand_prince
+    monkeypatch.setattr(dyn, "dormand_prince", spy)
+    monkeypatch.setattr(adi, "dormand_prince", spy)
+    traj = run()
+    (args, kwargs, got), = calls
+    sol = _solve_ivp(*args, **kwargs)
+    assert got.status == sol.status == 1 and not traj.complete
+    assert abs(got.t_stop - sol.t_events[0][0]) <= 1e-12
+    assert np.array_equal(got.t, sol.t) and np.array_equal(got.y, sol.y.T)
+    assert np.array_equal(traj.t, sol.t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6), st.floats(-3, 3), st.floats(-3, 3))
+def test_brentq_bit_identical_to_scipy(coeffs, a, b):
+    from scipy.optimize import brentq
+
+    def f(x):
+        return float(np.polyval(coeffs, x))
+
+    fa, fb = f(a), f(b)
+    assume(fa != 0 and fb != 0 and math.copysign(1, fa) != math.copysign(1, fb))
+    try:
+        want = brentq(f, a, b, xtol=4 * dyn._EPS, rtol=4 * dyn._EPS)
+    except RuntimeError:  # no convergence in 100 iterations: the port returns its last iterate
+        assume(False)
+    assert dyn._brentq(f, a, b) == want
 
 
 # -- trajectory container ----------------------------------------------------
@@ -149,6 +241,22 @@ def test_harmonic_analytic_general_order():
     assert np.allclose(out, vec, atol=1e-12)
     with pytest.raises(RangeError):
         dyn.harmonic_analytic(dyn.HarmonicModeConstants(0.5), 4, 0.0)
+
+
+def _mode_matrix(n):
+    """Generator of the order-n moment rotation:
+    (d/d theta) G(a) = (n - a) G(a+1) - a G(a-1)."""
+    return np.diag(np.arange(n, 0, -1.0), 1) - np.diag(np.arange(1.0, n + 1), -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12), st.floats(-10, 10),
+       st.lists(st.floats(-1, 1), min_size=13, max_size=13))
+def test_harmonic_analytic_matches_expm(n, theta, amplitudes):
+    vec = np.array(amplitudes[: n + 1])
+    want = expm(theta * _mode_matrix(n)) @ vec
+    got = dyn.harmonic_analytic(vec, n, theta)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * (1 + np.max(np.abs(want))))
 
 
 def test_coherent_tilde_moments():

@@ -294,8 +294,8 @@ def test_compile_bit_identical_to_term_loop(kind, n_max, closure, rng):
 
 
 def test_compile_returns_fresh_arrays(rng):
-    # solve_ivp keeps its stage derivatives: a reused output buffer would
-    # overwrite them on the next call
+    # the stepper keeps the derivative at the step's end for the next step:
+    # a reused output buffer would overwrite it on the next call
     system, hbar, Y = _lowering_case("quartic", 8, "zero", rng, states=2)
     rhs = system.compile(hbar)
     first = rhs(Y[0])

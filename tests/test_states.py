@@ -8,6 +8,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from momentflow import oracle as orc
 from momentflow import states
@@ -36,6 +39,21 @@ def test_squeeze_map_unit_determinant(rng):
         sq = states.SqueezeMatrix(g)
         assert np.linalg.det(sq.map) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.det(sq.covariance(0.7)) == pytest.approx(0.7**2 / 4, rel=1e-10)
+
+
+_entry = st.floats(-3, 3)
+# general symmetric g, and g = lam v v^T + eta 1 with det g = eta (lam |v|^2 + eta) near 0
+_any_g = st.tuples(_entry, _entry, _entry).map(lambda e: [[e[0], e[1]], [e[1], e[2]]])
+_near_singular_g = st.tuples(_entry, _entry, _entry, st.sampled_from([0.0, 1e-300, -1e-12, 1e-9])).map(
+    lambda e: [[e[0] * e[1] ** 2 + e[3], e[0] * e[1] * e[2]], [e[0] * e[1] * e[2], e[0] * e[2] ** 2 + e[3]]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_any_g, _near_singular_g))
+def test_squeeze_map_matches_expm(g):
+    want = expm(-states.EPS @ np.array(g))
+    got = states.SqueezeMatrix(g).map
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_zero_squeeze_covariance():
