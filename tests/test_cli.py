@@ -164,7 +164,7 @@ def test_help_and_version_exit_0(capsys, argv):
                  "domain error: non-finite effective coefficients", id="adiabatic-tiny-m"),
     pytest.param("adiabatic", {"model": "quartic", "delta": 1e300},
                  "domain error: non-finite effective coefficients", id="adiabatic-huge-delta"),
-    # the RHS overflows at once: the stepper stops in its first steps
+    # an RHS near the float limit overflows the state within the first steps
     pytest.param("simulate", {"model": "quartic", "delta": 1e300},
                  "trajectory incomplete: integration failed near t=", id="simulate-huge-delta"),
     pytest.param("compare", {"model": "quartic", "delta": 1e300},

@@ -114,8 +114,7 @@ def test_integrate_bit_identical_to_solve_ivp(model, n_max, backward):
     assert traj.stats["nfev"] == sol.nfev
 
 
-def _quartic_collapse():
-    params = dyn.CosmologyParams(hbar=1e-6)
+def _cosmology_collapse():
     model = ClassicalHamiltonian(kind="cosmology", gamma=1.0, kappa=1.0, E=1.0)
     system = generate_eom(expand_quantum_hamiltonian(model, 2))
     s0 = SemiclassicalState(1e-6, {"c": -0.5, "p": 1.0}, {G(a, 2): 0.0 for a in range(3)}, 2)
@@ -127,7 +126,7 @@ def _adiabatic_breakdown():
     return adi.solve_effective(adi.AdiabaticConfig(), H, 1e-6, 0.2, 1.2, (0.0, 10.0))
 
 
-@pytest.mark.parametrize("run", [_quartic_collapse, _adiabatic_breakdown],
+@pytest.mark.parametrize("run", [_cosmology_collapse, _adiabatic_breakdown],
                          ids=["cosmology-p-guard", "adiabatic-breakdown"])
 def test_event_runs_match_solve_ivp(run, monkeypatch):
     # spy on the stepper to replay its own RHS and event through scipy
