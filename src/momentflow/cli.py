@@ -284,31 +284,34 @@ def _write_trajectory(traj, cfg: dict, stem: str) -> list[str]:
 # subcommands
 
 
+def _run_and_write(cfg: dict, stem: str, solve) -> int:
+    """Write the trajectory ``solve()`` returns, or the partial one on the
+    requested grid that a StiffnessError carries; exit 2 if incomplete."""
+    failure = None
+    try:
+        traj = solve()
+    except StiffnessError as exc:
+        traj = exc.trajectory
+        if traj.t.size == 0:
+            raise
+        failure = traj.meta["failure"] = str(exc)
+    for path in _write_trajectory(traj, cfg, stem):
+        print(path)
+    if not traj.complete:
+        print(f"trajectory incomplete: {failure or 'domain guard triggered'}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def cmd_simulate(cfg: dict) -> int:
     model = build_model(cfg)
     HQ = expand_quantum_hamiltonian(model, cfg["n_max"])
     system = generate_eom(HQ, closure=cfg["closure"])
     s0 = initial_state(cfg, model)
-    failure = None
-    try:
-        traj = integrate(
-            system, s0, (cfg["t0"], cfg["t1"]), n_samples=cfg["samples"],
-            rtol=cfg["rtol"], atol=cfg["atol"],
-        )
-    except StiffnessError as exc:
-        # write the samples reached before the failure as a flagged partial
-        # trajectory on the requested time grid
-        traj = exc.trajectory
-        if traj.t.size == 0:
-            raise
-        failure = traj.meta["failure"] = str(exc)
-    for path in _write_trajectory(traj, cfg, "trajectory"):
-        print(path)
-    if not traj.complete:
-        print(f"trajectory incomplete: {failure or 'domain guard triggered'}",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _run_and_write(cfg, "trajectory", lambda: integrate(
+        system, s0, (cfg["t0"], cfg["t1"]), n_samples=cfg["samples"],
+        rtol=cfg["rtol"], atol=cfg["atol"],
+    ))
 
 
 def cmd_adiabatic(cfg: dict) -> int:
@@ -316,13 +319,10 @@ def cmd_adiabatic(cfg: dict) -> int:
     if model.kind != "oscillator" or model.omega <= 0:
         raise ConfigError("adiabatic solver needs an oscillator model with omega > 0")
     q0, qdot0 = float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"]) / model.m
-    traj = solve_effective(
+    return _run_and_write(cfg, "adiabatic", lambda: solve_effective(
         AdiabaticConfig(), model, cfg["hbar"], q0, qdot0,
         (cfg["t0"], cfg["t1"]), n_samples=cfg["samples"],
-    )
-    for path in _write_trajectory(traj, cfg, "adiabatic"):
-        print(path)
-    return 0 if traj.complete else 2
+    ))
 
 
 def _oracle_setup(cfg: dict, model: ClassicalHamiltonian):

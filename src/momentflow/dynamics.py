@@ -3,12 +3,13 @@ order-scaling diagnostic for truncated moment systems.
 
 All dynamics here is single degree of freedom.  The integrator is the
 adaptive Dormand-Prince 5(4) pair of ``dormand_prince``, a port of the RK45
-stepper of scipy.integrate that reproduces its output bit for bit.
+stepper of scipy.integrate whose sampled trajectories are bit for bit
+those of scipy; only an event's stop time is located differently, by
+bisection.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -84,11 +85,11 @@ class Trajectory:
         return self.y[:, self.labels.index(label)]
 
     def to_csv(self, path) -> None:
+        # the bytes of csv.writer's default dialect: no quoting, CRLF rows
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + self.labels)
-            for ti, row in zip(self.t, self.y):
-                writer.writerow([f"{ti:.17g}"] + [f"{v:.17g}" for v in row])
+            fh.write(",".join(["t", *self.labels]) + "\r\n")
+            np.savetxt(fh, np.column_stack([self.t, self.y]), fmt="%.17g", delimiter=",",
+                       newline="\r\n")
 
     def to_json(self, path) -> None:
         payload = {
@@ -113,7 +114,9 @@ class Trajectory:
 # downward zero crossing.  Every float operation is scipy's, in its order and
 # on arrays of its shapes (so the same BLAS calls run), which keeps the
 # trajectories bit for bit those of solve_ivp(method="RK45", t_eval=...).
-# The RHS takes no t, so stage times are never formed.
+# The RHS takes no t, so stage times are never formed.  An event's crossing
+# is bisected on the dense output to a few ulps (scipy runs brentq there),
+# which can move t_stop by an ulp or so but no sample.
 
 # Dormand & Prince, J. Comput. Appl. Math. 6 (1980); dense output with
 # Shampine's c_6, Math. Comp. 46 (1986)
@@ -168,53 +171,6 @@ def _initial_step(fun, y0, f0, interval_length, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """Root of f bracketed by [xa, xb], by Brent's method step for step as
-    scipy.optimize.brentq runs it with xtol = rtol = 4 eps.  Where brentq
-    raises after 100 iterations without convergence, this returns the last
-    iterate."""
-    xtol = rtol = 4 * _EPS
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.nan  # bisect unless interpolation gives a short step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # in C the step is inf or NaN, which bisects
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    return xcur
-
-
 @dataclass
 class StepperRun:
     """What ``dormand_prince`` returns.
@@ -239,7 +195,7 @@ def dormand_prince(fun, y0, t_eval, rtol: float, atol: float, event=None) -> Ste
     Dormand-Prince 5(4) pair, sampled at t_eval by the dense output.
 
     ``event(y)``, when given, ends the run where it first crosses zero from
-    above; Brent's method locates the crossing on the dense output.  An rtol
+    above; bisection on the dense output locates the crossing.  An rtol
     below 100 eps is raised to it, as scipy does.  numpy floating-point
     warnings are off inside the run: a state that overflows ends it with
     status -1 instead.
@@ -311,7 +267,12 @@ def dormand_prince(fun, y0, t_eval, rtol: float, atol: float, event=None) -> Ste
                         p = np.cumprod(np.tile((s - t_old) / h, 4))
                         return h * np.dot(Q, p) + y_old
 
-                    t_stop = _brentq(lambda s: event(dense_at(s)), t_old, t)
+                    # bisect on the dense output, keeping event(lo) > 0 >= event(hi)
+                    lo, hi = t_old, t
+                    while abs(hi - lo) > 4 * _EPS * max(1.0, abs(hi)):
+                        mid = (lo + hi) / 2
+                        lo, hi = (mid, hi) if event(dense_at(mid)) > 0 else (lo, mid)
+                    t_stop = hi
                     status = 1
                 g = g_new
             j = int(np.searchsorted(key, direction * t_stop, side="right"))
@@ -530,10 +491,6 @@ class CosmologyParams:
     def x_coord(self, c: float, p: float) -> float:
         self._check(p)
         return 0.5 * math.log(self.ell * c**2 / math.sqrt(p))
-
-    def y_coord(self, c: float, p: float) -> float:
-        self._check(p)
-        return c**2 * math.sqrt(p) / self.ell
 
     def _check(self, p: float):
         if p <= 0:

@@ -86,10 +86,6 @@ class MomentIndex:
         return sum(self.q_powers) + sum(self.p_powers)
 
     @property
-    def is_constant(self) -> bool:
-        return self.order == 0
-
-    @property
     def p_power(self) -> int:
         """Shorthand slot ``a`` of ``G^{a,n}`` (single DOF only)."""
         if self.dof != 1:
@@ -309,9 +305,6 @@ class MomentPolynomial:
             out.update(gs)
         return out
 
-    def max_moment_order(self) -> int:
-        return max((g.order for g in self.moment_indices()), default=0)
-
     def to_text(self) -> str:
         """Deterministic plain-text form, one sorted term per line."""
         if self.is_zero():
@@ -361,12 +354,9 @@ class MomentPolynomial:
                 acc[key] = acc.get(key, 0) + c * e
         return MomentPolynomial(acc)
 
-    def evaluate(self, state: "SemiclassicalState", extra_x: Mapping[str, float] | None = None) -> float:
+    def evaluate(self, state: "SemiclassicalState") -> float:
         """Evaluate against a state; ``U<k>`` symbols need ``state.potential``."""
         total = 0.0
-        xvals = dict(state.x)
-        if extra_x:
-            xvals.update(extra_x)
         for (h, x, gs), c in self._terms.items():
             val = float(c) * state.hbar ** float(h)
             for sym, e in x:
@@ -374,9 +364,9 @@ class MomentPolynomial:
                 if k is not None:
                     if state.potential is None:
                         raise StateError(f"symbol {sym} needs a potential on the state")
-                    base = state.potential.derivative(xvals["q"], k)
+                    base = state.potential.derivative(state.x["q"], k)
                 else:
-                    base = xvals[sym]
+                    base = state.x[sym]
                 val *= base ** float(e)
             for g in gs:
                 val *= state.moment(g)

@@ -5,6 +5,10 @@ truncated dynamics: dense operator matrices, eigendecomposition-based time
 evolution, Weyl-ordered moment extraction, a commutator-based bracket
 oracle, and moment-sequence reconstruction of wave functions.
 
+Every exponential here is exp(s H) with H Hermitian (time evolution,
+displacement, squeeze, characteristic function), computed stably from
+the eigendecomposition H = V diag(w) V^H as V diag(exp(s w)) V^H.
+
 Weyl operators come from the Jordan recursion W_{j+1,k} = (q W_{j,k} +
 W_{j,k} q)/2 (and the same for p), which is exact because the Moyal star
 product gives (x star f + f star x)/2 = x f for x = q, p.  Each
@@ -311,13 +315,16 @@ def coherent(alpha: complex, D: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def _exp_hermitian(H: np.ndarray, s: complex) -> np.ndarray:
+    """exp(s H) for Hermitian H, from its eigendecomposition."""
+    w, V = np.linalg.eigh(H)
+    return (V * np.exp(s * w)) @ V.conj().T
+
+
 def displacement(x_point, space: FockSpace) -> np.ndarray:
     """exp((i/hbar)(p0 q - q0 p)) shifting the state to the phase-space point."""
-    from scipy.linalg import expm  # imported here: only oracle runs need scipy
-
     q0, p0 = x_point
-    gen = (1j / space.hbar) * (p0 * space.q1 - q0 * space.p1)
-    return expm(gen)
+    return _exp_hermitian(p0 * space.q1 - q0 * space.p1, 1j / space.hbar)
 
 
 def squeezed(g: np.ndarray, x_point, space: FockSpace) -> np.ndarray:
@@ -325,8 +332,6 @@ def squeezed(g: np.ndarray, x_point, space: FockSpace) -> np.ndarray:
 
     g is real symmetric 2x2 acting on the centered pair (qhat-q, phat-p).
     """
-    from scipy.linalg import expm
-
     g = np.asarray(g, dtype=float)
     if g.shape != (2, 2) or not np.allclose(g, g.T):
         raise StateError("squeeze matrix must be real symmetric 2x2")
@@ -338,7 +343,7 @@ def squeezed(g: np.ndarray, x_point, space: FockSpace) -> np.ndarray:
     pc = space.p1 - p0 * np.eye(space.D)
     xs = [qc, pc.astype(complex)]
     quad = sum(g[i, j] * (xs[i] @ xs[j]) for i in range(2) for j in range(2))
-    psi = expm((1j / (2 * space.hbar)) * quad) @ psi
+    psi = _exp_hermitian(quad, 1j / (2 * space.hbar)) @ psi
     nrm = np.linalg.norm(psi)
     tail = np.sum(np.abs(psi[-max(2, space.D // 20):]) ** 2) / nrm**2
     if tail > 1e-10:
@@ -450,8 +455,6 @@ class OracleDProvider:
         self._pc = (space.p1 - st.x["p"] * np.eye(space.D)).astype(complex)
 
     def D(self, alpha) -> float:
-        from scipy.linalg import expm
-
         alpha = np.asarray(alpha, dtype=float)
         gen = alpha[0] * self._qc + alpha[1] * self._pc
-        return _expect(self.psi, expm(gen) @ self.psi)
+        return _expect(self.psi, _exp_hermitian(gen, 1.0) @ self.psi)

@@ -294,14 +294,24 @@ def test_simulate_divergence_writes_partial_on_requested_grid(tmp_path, capsys):
 
 
 def test_simulate_and_adiabatic_import_no_scipy(tmp_path):
-    # scipy is only for the oracle; in a fresh process, importing every
-    # module and running simulate and adiabatic must not load it
+    # scipy is only a test reference; in a fresh process, every subcommand
+    # that integrates or runs the oracle, and the oracle's exponentials,
+    # must run without loading it
     src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "harmonic", "t1": 1.0, "samples": 21, "oracle_dim": 40}))
     code = f"""
 import sys
-import momentflow, momentflow.cli, momentflow.oracle
-assert momentflow.cli.main(["simulate", "--model", "quartic", "--out", {str(tmp_path)!r}]) == 0
-assert momentflow.cli.main(["adiabatic", "--model", "quartic", "--out", {str(tmp_path)!r}]) == 0
+import numpy as np
+import momentflow, momentflow.cli, momentflow.oracle as orc
+assert momentflow.cli.main(["simulate", "--model", "quartic", "--out", {out!r}]) == 0
+assert momentflow.cli.main(["adiabatic", "--model", "quartic", "--out", {out!r}]) == 0
+assert momentflow.cli.main(["compare", "--config", {str(cfg)!r}, "--out", {out!r}]) == 0
+space = orc.FockSpace(40)
+psi = orc.squeezed([[0.2, 0.1], [0.1, -0.1]], (0.5, -0.3), space)
+assert np.allclose(orc.displacement((0.5, -0.3), space)[:, 0], orc.coherent(complex(0.5, -0.3) / 2**0.5, 40))
+assert np.isfinite(orc.OracleDProvider(psi, space).D([0.3, -0.2]))
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
@@ -319,6 +329,24 @@ def test_adiabatic_quartic(tmp_path):
     with open(tmp_path / "adiabatic.csv") as fh:
         header = fh.readline().strip().split(",")
     assert header == ["t", "q", "qdot", "G_0_2", "G_1_2", "G_2_2"]
+
+
+def test_adiabatic_breakdown_writes_partial_on_requested_grid(tmp_path, capsys):
+    # with delta = -1, 1 + V''(q) falls to the breakdown margin at t = 6.1428,
+    # before t1 = 2 pi: the event stops the run, and adiabatic writes the
+    # samples up to there and reports the incomplete run as simulate does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "quartic", "delta": -1,
+                               "initial": {"kind": "coherent", "q0": 1.0, "p0": 1.0}}))
+    assert cli.main(["adiabatic", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trajectory incomplete: ") and "Traceback" not in err
+    t = np.loadtxt(tmp_path / "adiabatic.csv", delimiter=",", skiprows=1, usecols=0)
+    grid = np.linspace(0.0, 2 * math.pi, 201)
+    assert 1 < t.size < grid.size
+    assert np.array_equal(t, grid[:t.size]) and t[-1] < 6.1428 < grid[t.size]
+    meta = json.loads((tmp_path / "adiabatic.meta.json").read_text())
+    assert meta["complete"] is False
 
 
 def test_adiabatic_rejects_free(tmp_path):

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -146,23 +146,6 @@ def test_event_runs_match_solve_ivp(run, monkeypatch):
     assert abs(got.t_stop - sol.t_events[0][0]) <= 1e-12
     assert np.array_equal(got.t, sol.t) and np.array_equal(got.y, sol.y.T)
     assert np.array_equal(traj.t, sol.t)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6), st.floats(-3, 3), st.floats(-3, 3))
-def test_brentq_bit_identical_to_scipy(coeffs, a, b):
-    from scipy.optimize import brentq
-
-    def f(x):
-        return float(np.polyval(coeffs, x))
-
-    fa, fb = f(a), f(b)
-    assume(fa != 0 and fb != 0 and math.copysign(1, fa) != math.copysign(1, fb))
-    try:
-        want = brentq(f, a, b, xtol=4 * dyn._EPS, rtol=4 * dyn._EPS)
-    except RuntimeError:  # no convergence in 100 iterations: the port returns its last iterate
-        assume(False)
-    assert dyn._brentq(f, a, b) == want
 
 
 # -- trajectory container ----------------------------------------------------

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from momentflow import oracle as orc
 from momentflow.errors import CapacityError, ReconstructionError, StateError
@@ -287,6 +290,35 @@ def test_squeezed_zero_is_coherent(space50):
     psi = orc.squeezed(np.zeros((2, 2)), (0.5, 0.1), space50)
     ref = orc.displacement((0.5, 0.1), space50) @ _vacuum(50)
     assert abs(abs(np.vdot(psi, ref)) - 1) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+       st.floats(0.5, 2.0), st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+       st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+def test_exponentials_match_expm(q0, p0, m, w, hbar, gs, a0, a1):
+    def dist(a, b):  # a scalar, so that a failure does not print the arrays
+        return float(np.max(np.abs(a - b)))
+
+    D = 60
+    space = orc.FockSpace(D, m, w, hbar)
+    q, p = space.q1, space.p1
+    disp = expm((1j / hbar) * (p0 * q - q0 * p))
+    assert dist(orc.displacement((q0, p0), space), disp) <= 1e-12
+    # the displaced vacuum is the oracle's closed-form coherent state
+    alpha = complex(q0 * math.sqrt(m * w / (2 * hbar)), p0 / math.sqrt(2 * hbar * m * w))
+    assert dist(orc.displacement((q0, p0), space) @ _vacuum(D), orc.coherent(alpha, D)) <= 1e-14
+
+    g = np.array([[gs[0], gs[1]], [gs[1], gs[2]]])
+    xs = [q - q0 * np.eye(D), p - p0 * np.eye(D)]
+    quad = sum(g[i, j] * (xs[i] @ xs[j]) for i in range(2) for j in range(2))
+    want = expm((1j / (2 * hbar)) * quad) @ disp @ _vacuum(D)
+    psi = orc.squeezed(g, (q0, p0), space)
+    assert dist(psi, want / np.linalg.norm(want)) <= 1e-12
+
+    prov = orc.OracleDProvider(psi, space)
+    gen = a0 * prov._qc + a1 * prov._pc
+    assert dist(prov.D([a0, a1]), np.vdot(psi, expm(gen) @ psi).real) <= 1e-12
 
 
 # -- Hamburger reconstruction ----------------------------------------------
