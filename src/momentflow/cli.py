@@ -298,7 +298,8 @@ def _run_and_write(cfg: dict, stem: str, solve) -> int:
     for path in _write_trajectory(traj, cfg, stem):
         print(path)
     if not traj.complete:
-        print(f"trajectory incomplete: {failure or 'domain guard triggered'}", file=sys.stderr)
+        print(f"trajectory incomplete: {failure or 'domain guard triggered'}",
+              file=sys.stderr)
         return 2
     return 0
 
