@@ -34,13 +34,10 @@ __all__ = [
     "g0_time_derivative",
     "g1_correction",
     "g2_correction",
-    "g2_correction_expanded",
     "g2_pp_correction",
     "effective_coefficients",
     "solve_effective",
     "AdiabaticEmbedding",
-    "lemma_constraint_residual",
-    "ladder_residual",
 ]
 
 BREAKDOWN_EPS = 1e-8
@@ -124,20 +121,6 @@ def g2_correction(q: float, qdot: float, qddot: float, config: AdiabaticConfig, 
     return -(2.0 / H.omega**2) * g0**2.5 * d2f
 
 
-def g2_correction_expanded(q: float, qdot: float, qddot: float, config: AdiabaticConfig, H: ClassicalHamiltonian) -> float:
-    """Equivalent expanded form in potential derivatives, scaled from the
-    vacuum display by (C2 / (1/2))^3."""
-    u = _checked_u(q, H, 0)[0]
-    m, w = H.m, H.omega
-    U3 = H.potential.derivative(q, 3)
-    U4 = H.potential.derivative(q, 4)
-    vac = ((1 + u) ** -3.5 / (4 * w**2)) * (
-        (1 + u) * (U3 * qddot + U4 * qdot**2) / (4 * m * w**2)
-        - 5 * (U3 * qdot / (4 * m * w**2)) ** 2
-    )
-    return (config.C2 / 0.5) ** 3 * vac
-
-
 def g2_pp_correction(q: float, qdot: float, qddot: float, config: AdiabaticConfig, H: ClassicalHamiltonian) -> float:
     """Second correction to G(2, 2): (1+u) G2(0,2) + (1/2 w^2) d^2/dt^2 G0(0,2)."""
     u, up, upp = _checked_u(q, H, 2)
@@ -197,7 +180,8 @@ def solve_effective(
     (q, qdot) with the reconstructed dimensionful n = 2 moments appended.
 
     Adiabatic breakdown mid-run terminates cleanly with the trajectory
-    flagged incomplete.
+    flagged incomplete; ``stats`` records the stop time ``t_stop`` and the
+    ``stop_cause``.
     """
     # the terminal event fires a safety margin above the hard breakdown
     # threshold; trial steps that overshoot past it fall back to a frozen
@@ -235,7 +219,9 @@ def solve_effective(
         )
     labels = ["q", "qdot", "G_0_2", "G_1_2", "G_2_2"]
     stats = {"nfev": run.nfev, "nsteps": run.nsteps, "nrejected": run.nrejected,
-             "rtol": rtol, "atol": atol}
+             "rtol": rtol, "atol": atol, "t_stop": float(run.t_stop)}
+    if run.status == 1:
+        stats["stop_cause"] = "adiabatic breakdown: 1 + U''/(m omega^2) fell to its safety margin"
     meta = {"C2": config.C2, "e": config.e}
     traj = Trajectory(run.t, np.array(rows), labels, hbar, stats, meta, complete=run.status == 0)
     if run.status == -1:
@@ -305,51 +291,3 @@ class AdiabaticEmbedding:
         d_q = pref * (-1.5 * (1 + u) ** -2.5 * up**2 + (1 + u) ** -1.5 * upp) * qdot
         d_qdot = pref * (1 + u) ** -1.5 * up
         return d_q * qdot + d_qdot * qddot
-
-
-# ---------------------------------------------------------------------------
-# identities used as invariants
-
-
-def lemma_constraint_residual(q: float, qdot: float, n: int, config: AdiabaticConfig, H: ClassicalHamiltonian) -> float:
-    """sum_{a even} (n/2 choose a/2) (1+u)^{(n-a)/2} d/dt G0(a, n); vanishes
-    identically for the adiabatic leading-order solution."""
-    u = _checked_u(q, H, 0)[0]
-    total = 0.0
-    for a in range(0, n + 1, 2):
-        total += (
-            math.comb(n // 2, a // 2)
-            * (1 + u) ** ((n - a) / 2.0)
-            * g0_time_derivative(q, qdot, n, a, config, H)
-        )
-    return total
-
-
-def ladder_residual(q: float, qdot: float, qddot: float, order: int, config: AdiabaticConfig, H: ClassicalHamiltonian) -> np.ndarray:
-    """A(G_order) - d/dt G_{order-1} for the n = 2 sector, componentwise in
-    a = 0, 1, 2, where A(G)^a = w((2-a) G^{a+1} - a (1+u) G^{a-1}).
-    Zero for the implemented orders 1 and 2."""
-    if order not in (1, 2):
-        raise RangeError("ladder implemented for orders 1 and 2")
-    u = _checked_u(q, H, 0)[0]
-    w = H.omega
-
-    if order == 1:
-        G = [0.0, g1_correction(qdot, q, config, H), 0.0]
-        Gdot_prev = [g0_time_derivative(q, qdot, 2, a, config, H) for a in range(3)]
-    else:
-        G = [
-            g2_correction(q, qdot, qddot, config, H),
-            0.0,
-            g2_pp_correction(q, qdot, qddot, config, H),
-        ]
-        emb = AdiabaticEmbedding(H, config)
-        g1d = emb._g1_time_derivative(q, qdot, qddot)
-        Gdot_prev = [0.0, g1d, 0.0]
-
-    res = np.empty(3)
-    for a in range(3):
-        up_term = (2 - a) * G[a + 1] if a + 1 <= 2 else 0.0
-        dn_term = a * (1 + u) * G[a - 1] if a - 1 >= 0 else 0.0
-        res[a] = w * (up_term - dn_term) - Gdot_prev[a]
-    return res

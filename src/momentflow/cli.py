@@ -298,8 +298,8 @@ def _run_and_write(cfg: dict, stem: str, solve) -> int:
     for path in _write_trajectory(traj, cfg, stem):
         print(path)
     if not traj.complete:
-        print(f"trajectory incomplete: {failure or 'domain guard triggered'}",
-              file=sys.stderr)
+        reason = failure or f"{traj.stats['stop_cause']} at t={traj.stats['t_stop']!r}"
+        print(f"trajectory incomplete: {reason}", file=sys.stderr)
         return 2
     return 0
 

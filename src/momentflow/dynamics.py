@@ -302,7 +302,9 @@ def integrate(
     ``dormand_prince``, sampled at ``n_samples`` equally spaced times.
 
     A step-size collapse raises StiffnessError carrying the stop time and
-    the samples reached before it as an incomplete trajectory.
+    the samples reached before it as an incomplete trajectory.  ``stats``
+    records ``t_stop``, where the stepper stopped, and for a run that the
+    cosmology p-guard ended, its ``stop_cause``.
     """
     if rtol <= 0 or atol <= 0:
         raise StateError("tolerances must be positive")
@@ -327,7 +329,10 @@ def integrate(
 
     run = dormand_prince(rhs, y0, t_eval, rtol, atol, event=p_guard)
     stats = {"method": "rk45", "rtol": rtol, "atol": atol, "nfev": run.nfev,
-             "nsteps": run.nsteps, "nrejected": run.nrejected, "status": run.status}
+             "nsteps": run.nsteps, "nrejected": run.nrejected, "status": run.status,
+             "t_stop": float(run.t_stop)}
+    if run.status == 1:
+        stats["stop_cause"] = f"cosmology p-guard: p fell to its floor {float(p_floor)!r}"
     traj = Trajectory(run.t, run.y, system.labels(), s0.hbar, stats, system=system,
                       complete=run.status == 0)
     if run.status == -1:

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -26,6 +27,8 @@ from .moment_algebra import (
     MomentIndex,
     MomentPolynomial,
     SemiclassicalState,
+    _SORT_KEY,
+    _accumulate,
     _potential_order,
     bracket_general,
     gaussian_pairings,
@@ -243,8 +246,9 @@ class EquationSystem:
 
         Term t has coefficient c[t] = coeff * hbar**h, equation eq[t] and
         factor column idx[:, t] into z = [y, powered factors, 1.0]; a powered
-        factor is a distinct (x slot or U_k, exponent) pair, padding points at
-        the 1.0.  f fills the power slots, multiplies the rows of F = [c; z[idx]]
+        factor is a distinct (x slot or U_k, exponent) pair, except that an x
+        variable to the first power points at its y slot, and padding points
+        at the 1.0.  f fills the power slots, multiplies the rows of F = [c; z[idx]]
         in order (coefficient, x powers, U powers, moments) and bincounts the
         products by equation from 0.0 in sorted term order: bit for bit a
         left-to-right loop over the terms.  f returns a fresh array but reuses
@@ -260,7 +264,9 @@ class EquationSystem:
                 xcol = xcols.get(x)
                 if xcol is None:
                     fac = sorted(((sym, float(e)) for sym, e in x), key=lambda f: f[0] not in slot)
-                    xcol = xcols[x] = [powers.setdefault(f, n + len(powers)) for f in fac]
+                    # y ** 1.0 == y, so a first power reads its y slot
+                    xcol = xcols[x] = [slot[f[0]] if f[1] == 1.0 and f[0] in slot
+                                       else powers.setdefault(f, n + len(powers)) for f in fac]
                 coeffs.append(float(c) * hbar ** float(h))
                 eqs.append(i)
                 lens.append(len(xcol) + len(gs))
@@ -301,22 +307,31 @@ class EquationSystem:
         return "\n".join(lines)
 
     def listing_json(self) -> str:
+        """The equations as JSON text: ``meta`` (model, n_max, closure) and,
+        per variable, its sorted terms, each with ``coeff`` (a Fraction as a
+        string, a float as a number), ``hbar_power``, ``moments`` and ``x``
+        (``[symbol, exponent]`` pairs), every key sorted.
+
+        The schema is fixed, so the text is written directly, strings through
+        json's ASCII escaper and floats in json's spelling.  The bytes are
+        those of ``json.dumps(..., indent=2, sort_keys=True)``, which runs
+        json's pure-Python encoder whenever ``indent`` is set.
+        """
+        esc = encode_basestring_ascii
         eqs = []
         for var in self.variables:
-            name = var if isinstance(var, str) else str(var)
             terms = []
             for c, h, x, gs in self.rhs[var].terms():
-                terms.append(
-                    {
-                        "coeff": str(c) if isinstance(c, Fraction) else c,
-                        "hbar_power": str(h),
-                        "x": [[sym, str(e)] for sym, e in x],
-                        "moments": [str(g) for g in gs],
-                    }
-                )
-            eqs.append({"variable": name, "terms": terms})
-        meta = {"model": self.model.kind, "n_max": self.n_max, "closure": self.closure}
-        return json.dumps({"meta": meta, "equations": eqs}, indent=2, sort_keys=True)
+                coeff = esc(str(c)) if isinstance(c, Fraction) else _json_float(c)
+                moments = _json_list([esc(str(g)) for g in gs], 12)
+                xs = _json_list([_json_list([esc(sym), esc(str(e))], 14) for sym, e in x], 12)
+                terms.append(f'{{\n          "coeff": {coeff},\n          "hbar_power": {esc(str(h))},'
+                             f'\n          "moments": {moments},\n          "x": {xs}\n        }}')
+            name = var if isinstance(var, str) else str(var)
+            eqs.append(f'{{\n      "terms": {_json_list(terms, 8)},\n      "variable": {esc(name)}\n    }}')
+        meta = json.dumps({"model": self.model.kind, "n_max": self.n_max, "closure": self.closure},
+                          indent=2, sort_keys=True).replace("\n", "\n  ")
+        return f'{{\n  "equations": {_json_list(eqs, 4)},\n  "meta": {meta}\n}}'
 
     # -- structural probes -------------------------------------------------
 
@@ -336,8 +351,31 @@ class EquationSystem:
         return True
 
 
+def _json_list(items: list[str], indent: int) -> str:
+    """JSON text of a list of encoded items whose own lines sit at ``indent``."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
+#: json's spelling of the non-finite floats
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(c: float) -> str:
+    r = float.__repr__(c)
+    return _JSON_NONFINITE.get(r, r)
+
+
 def generate_eom(HQ: QuantumHamiltonian, closure: str = "zero") -> EquationSystem:
-    """Hamiltonian flow of H_Q over (x, moments up to n_max)."""
+    """Hamiltonian flow of H_Q over (x, moments up to n_max).
+
+    Each right-hand side is ``bracket_general(var, H_Q)``; the moments above
+    n_max in it are then replaced by ``closure_apply`` in one pass that
+    writes every term into one dict, with the key order and coefficients
+    of summing the term-by-closure products as ``MomentPolynomial``s.
+    """
     if closure not in ("zero", "gaussian-factorize"):
         raise ConfigError(f"unknown closure policy {closure!r}")
     qv, pv = HQ.xvars
@@ -354,21 +392,25 @@ def generate_eom(HQ: QuantumHamiltonian, closure: str = "zero") -> EquationSyste
 
     # close moments above n_max in one pass per term.  A term holds at most
     # one of them, since the bilinear bracket factors have order <= n_max - 1,
-    # and its factors are sorted by order, so it is the last.  The closed terms
-    # add after the others, highest moment first.
+    # and its factors are sorted by order, so it is the last.  The other terms
+    # go into the closed polynomial in sorted order; then each closed term,
+    # highest moment first, adds its products with the closure's terms.
     closed: dict[MomentIndex, MomentPolynomial] = {}
     for var, poly in rhs.items():
-        pieces, high = [], []
+        acc, high = {}, []
         for c, h, x, gs in poly.terms():
             if gs and gs[-1].order > HQ.n_max:
-                high.append((gs[-1], MomentPolynomial.term(c, h, x, gs[:-1])))
+                high.append((gs[-1], c, h, x, gs[:-1]))
             else:
-                pieces.append(MomentPolynomial.term(c, h, x, gs))
-        for g, piece in sorted(high, key=lambda gp: gp[0].sort_key(), reverse=True):
+                acc[h, x, gs] = c
+        high.sort(key=lambda t: t[0].sort_key(), reverse=True)
+        for g, c, h, x, rest in high:
             if g not in closed:
                 closed[g] = closure_apply(closure, g)
-            pieces.append(piece * closed[g])
-        rhs[var] = MomentPolynomial.sum(pieces)
+            for (hc, _, gc), cc in closed[g]._terms.items():
+                if cc := c * cc:
+                    _accumulate(acc, (h + hc, x, tuple(sorted(rest + gc, key=_SORT_KEY))), cc)
+        rhs[var] = MomentPolynomial(acc)
 
     return EquationSystem((qv, pv), mvars, rhs, HQ.model, HQ.n_max, closure)
 

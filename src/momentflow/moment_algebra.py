@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add, attrgetter, sub
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -65,10 +66,19 @@ class MomentIndex:
     p_powers: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.q_powers) != len(self.p_powers):
+        q, p = self.q_powers, self.p_powers
+        powers = q + p
+        if len(q) != len(p):
             raise RangeError("q_powers and p_powers must have equal length")
-        if any(a < 0 for a in self.q_powers) or any(b < 0 for b in self.p_powers):
+        if powers and min(powers) < 0:
             raise RangeError("moment powers must be non-negative")
+        # every bracket and term sort reads these: compute them once.  The
+        # hash is the dataclass's own, so set and dict order do not change.
+        order = sum(powers)
+        self.__dict__.update(order=order, _key=(order, q, p), _hash=hash((q, p)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def single(cls, a: int, n: int) -> "MomentIndex":
@@ -82,10 +92,6 @@ class MomentIndex:
         return len(self.q_powers)
 
     @property
-    def order(self) -> int:
-        return sum(self.q_powers) + sum(self.p_powers)
-
-    @property
     def p_power(self) -> int:
         """Shorthand slot ``a`` of ``G^{a,n}`` (single DOF only)."""
         if self.dof != 1:
@@ -93,10 +99,11 @@ class MomentIndex:
         return self.p_powers[0]
 
     def sort_key(self):
-        return (self.order, self.q_powers, self.p_powers)
+        """Canonical order: total order, then position powers, then momentum."""
+        return self._key
 
     def __lt__(self, other: "MomentIndex"):
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def __str__(self):
         if self.dof == 1:
@@ -110,6 +117,10 @@ class MomentIndex:
         if self.dof == 1:
             return f"G_{self.p_powers[0]}_{self.order}"
         return "G_" + "_".join(map(str, self.q_powers + self.p_powers))
+
+
+#: sort key of a MomentIndex, read without a Python-level call
+_SORT_KEY = attrgetter("_key")
 
 
 def moment_indices(n: int, dof: int = 1) -> list[MomentIndex]:
@@ -175,6 +186,18 @@ def _potential_order(sym: str) -> int | None:
     return None
 
 
+def _accumulate(acc: dict, key: tuple, c: _CoeffT) -> None:
+    """Add ``c`` to ``acc[key]`` in place: a key whose partial sum cancels is
+    dropped, and a later term restarts it from 0."""
+    old = acc.get(key)
+    if old is not None:
+        c = old + c
+        if not c:
+            del acc[key]
+            return
+    acc[key] = c
+
+
 class MomentPolynomial:
     """Formal linear combination of products of moments.
 
@@ -199,12 +222,7 @@ class MomentPolynomial:
         acc: dict[tuple, _CoeffT] = {}
         for poly in polys:
             for key, c in poly._terms.items():
-                if key in acc:
-                    c = acc[key] + c
-                    if not c:
-                        del acc[key]
-                        continue
-                acc[key] = c
+                _accumulate(acc, key, c)
         return cls(acc)
 
     # -- constructors ------------------------------------------------------
@@ -243,7 +261,7 @@ class MomentPolynomial:
             if g.order == 0:
                 continue
             kept.append(g)
-        return cls({(hbar, _as_xmono(x), tuple(sorted(kept, key=MomentIndex.sort_key))): coeff})
+        return cls({(hbar, _as_xmono(x), tuple(sorted(kept, key=_SORT_KEY))): coeff})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -268,7 +286,7 @@ class MomentPolynomial:
         acc: dict[tuple, _CoeffT] = {}
         for (h1, x1, g1), c1 in self._terms.items():
             for (h2, x2, g2), c2 in other._terms.items():
-                gs = tuple(sorted(g1 + g2, key=MomentIndex.sort_key))
+                gs = tuple(sorted(g1 + g2, key=_SORT_KEY))
                 key = (h1 + h2, _merge_monos(x1, x2), gs)
                 acc[key] = acc.get(key, 0) + c1 * c2
         return MomentPolynomial(acc)
@@ -293,11 +311,7 @@ class MomentPolynomial:
     def terms(self):
         """Canonically sorted (coeff, hbar_power, xmono, g_factors) tuples,
         ordered by hbar power, x monomial, then moment factors."""
-        def key(item):
-            (h, x, gs), _ = item
-            return h, x, tuple(map(MomentIndex.sort_key, gs))
-
-        return [(c, h, x, gs) for (h, x, gs), c in sorted(self._terms.items(), key=key)]
+        return [(c, h, x, gs) for (h, x, gs), c in sorted(self._terms.items(), key=_term_order)]
 
     def moment_indices(self) -> set[MomentIndex]:
         out = set()
@@ -374,6 +388,13 @@ class MomentPolynomial:
         return total
 
 
+def _term_order(item) -> tuple:
+    """Sort key of a ``(key, coeff)`` item: hbar power, x monomial, then the
+    moment factors in canonical order."""
+    (h, x, gs), _ = item
+    return h, x, tuple(map(_SORT_KEY, gs))
+
+
 def _merge_monos(x1: _XMono, x2: _XMono) -> _XMono:
     d = dict(x1)
     for sym, e in x2:
@@ -444,30 +465,33 @@ def _bracket_linear_terms(a, b, c, d):
     2r + 1 carries weight (hbar/2)^{2r}.
     """
     N = len(a)
-    u_ranges = [range(min(a[f], d[f]) + 1) for f in range(N)]
-    v_ranges = [range(min(b[f], c[f]) + 1) for f in range(N)]
-    for u in product(*u_ranges):
-        for v in product(*v_ranges):
-            m = sum(u) + sum(v)
-            if m == 0 or m % 2 == 0:
+    # weight of k contractions of one kind in DOF f: C(x, k) C(y, k) k!
+    wu = [[math.comb(a[f], k) * math.comb(d[f], k) * math.factorial(k)
+           for k in range(min(a[f], d[f]) + 1)] for f in range(N)]
+    wv = [[math.comb(b[f], k) * math.comb(c[f], k) * math.factorial(k)
+           for k in range(min(b[f], c[f]) + 1)] for f in range(N)]
+    ac, bd = tuple(map(add, a, c)), tuple(map(add, b, d))
+    for u in product(*map(range, map(len, wu))):
+        su = sum(u)
+        for v in product(*map(range, map(len, wv))):
+            sv = sum(v)
+            m = su + sv
+            if m % 2 == 0:
                 continue
             r = (m - 1) // 2
-            coeff = Fraction((-1) ** (r + sum(v)), 4 ** r)
+            num = -1 if (r + sv) % 2 else 1
             for f in range(N):
-                coeff *= (
-                    math.comb(a[f], u[f]) * math.comb(d[f], u[f]) * math.factorial(u[f])
-                    * math.comb(b[f], v[f]) * math.comb(c[f], v[f]) * math.factorial(v[f])
-                )
-            rq = tuple(a[f] + c[f] - u[f] - v[f] for f in range(N))
-            rp = tuple(b[f] + d[f] - u[f] - v[f] for f in range(N))
-            yield coeff, 2 * r, rq, rp
+                num *= wu[f][u[f]] * wv[f][v[f]]
+            e = tuple(map(add, u, v))
+            yield Fraction(num, 4**r), 2 * r, tuple(map(sub, ac, e)), tuple(map(sub, bd, e))
 
 
 def bracket_moments(i1: MomentIndex, i2: MomentIndex) -> MomentPolynomial:
     """Closed-form Poisson bracket {G_{i1}, G_{i2}} as a formal polynomial.
 
     The result is state independent: hbar^{2r}-weighted linear terms plus
-    the bilinear terms coupling each index to a once-lowered partner.
+    the bilinear terms coupling each index to a once-lowered partner.  An
+    order-0 result factor is the constant 1 and an order-1 factor vanishes.
     """
     if i1.order < 2 or i2.order < 2:
         raise RangeError("bracket_moments needs both orders >= 2")
@@ -475,18 +499,27 @@ def bracket_moments(i1: MomentIndex, i2: MomentIndex) -> MomentPolynomial:
         raise RangeError("mismatched degree-of-freedom count")
     a, b = i1.q_powers, i1.p_powers
     c, d = i2.q_powers, i2.p_powers
-    N = i1.dof
 
-    terms = [MomentPolynomial.term(coeff, hbar=hpow, gs=(MomentIndex(rq, rp),))
-             for coeff, hpow, rq, rp in _bracket_linear_terms(a, b, c, d)]
-    for f in range(N):
-        if a[f] * d[f]:
-            terms.append(MomentPolynomial.term(-a[f] * d[f], gs=(MomentIndex(_dec(a, f), b),
-                                                                 MomentIndex(c, _dec(d, f)))))
-        if b[f] * c[f]:
-            terms.append(MomentPolynomial.term(b[f] * c[f], gs=(MomentIndex(a, _dec(b, f)),
-                                                                MomentIndex(_dec(c, f), d))))
-    return MomentPolynomial.sum(terms)
+    acc: dict[tuple, _CoeffT] = {}
+    for coeff, hpow, rq, rp in _bracket_linear_terms(a, b, c, d):
+        g = MomentIndex(rq, rp)
+        if g.order != 1:
+            _accumulate(acc, (hpow, (), (g,) if g.order else ()), coeff)
+    # the lowered partners have orders i1.order - 1 and i2.order - 1
+    if i1.order > 2 and i2.order > 2:
+        for f in range(i1.dof):
+            if a[f] * d[f]:
+                _accumulate(acc, _pair_key(MomentIndex(_dec(a, f), b), MomentIndex(c, _dec(d, f))),
+                            Fraction(-a[f] * d[f]))
+            if b[f] * c[f]:
+                _accumulate(acc, _pair_key(MomentIndex(a, _dec(b, f)), MomentIndex(_dec(c, f), d)),
+                            Fraction(b[f] * c[f]))
+    return MomentPolynomial(acc)
+
+
+def _pair_key(g1: MomentIndex, g2: MomentIndex) -> tuple:
+    """Key of a bilinear bracket term: no hbar, no x, the factors sorted."""
+    return (0, (), (g1, g2) if g1._key <= g2._key else (g2, g1))
 
 
 def _dec(t: tuple[int, ...], f: int) -> tuple[int, ...]:
@@ -578,26 +611,39 @@ def bracket_general(
     Classical coefficients bracket through partial derivatives; moment
     factors bracket pairwise through :func:`bracket_moments` and commute
     with all classical variables.
+
+    The classical part comes first; then, for each pair of terms of P and Q
+    in sorted order and each pair of their moment factors, the other factors
+    times each term of the moment bracket add straight into one
+    ``(hbar power, x monomial, sorted moments) -> coeff`` dict, coefficient
+    ``cP * cQ * c``.  Order and arithmetic are those of
+    ``MomentPolynomial.sum`` over the products ``term * bracket_moments``.
     """
     qv, pv = xvars
-    # classical part, then the moment part term by term
+    # a product with an empty factor is empty, so Q's partials are taken
+    # only where P's are not
     dPq, dPp = P.diff_x(qv), P.diff_x(pv)
-    dQq, dQp = Q.diff_x(qv), Q.diff_x(pv)
-    pieces = [scale * (dPq * dQp - dPp * dQq)]
-    for cP, hP, xP, gP in P.terms():
-        for cQ, hQ, xQ, gQ in Q.terms():
-            if not gP or not gQ:
-                continue
+    zero = MomentPolynomial()
+    classical = scale * ((dPq * Q.diff_x(pv) if dPq else zero) - (dPp * Q.diff_x(qv) if dPp else zero))
+    acc = dict(classical._terms)
+    P_moments = [t for t in P.terms() if t[3]]
+    Q_moments = [t for t in Q.terms() if t[3]]
+    for cP, hP, xP, gP in P_moments:
+        for cQ, hQ, xQ, gQ in Q_moments:
             base_c = cP * cQ
             base_h = hP + hQ
             base_x = _merge_monos(xP, xQ)
             for i, gi in enumerate(gP):
                 rest_p = gP[:i] + gP[i + 1 :]
                 for j, gj in enumerate(gQ):
-                    rest_q = gQ[:j] + gQ[j + 1 :]
-                    piece = MomentPolynomial.term(base_c, hbar=base_h, x=base_x, gs=rest_p + rest_q)
-                    pieces.append(piece * bracket_moments(gi, gj))
-    return MomentPolynomial.sum(pieces)
+                    rest = rest_p + gQ[:j] + gQ[j + 1 :]
+                    for (h, _, gs), c in bracket_moments(gi, gj)._terms.items():
+                        c = base_c * c
+                        if c:
+                            if rest:
+                                gs = tuple(sorted(rest + gs, key=_SORT_KEY))
+                            _accumulate(acc, (base_h + h, base_x, gs), c)
+    return MomentPolynomial(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import adiabatic_invariants as inv
 from momentflow import adiabatic as adi
 from momentflow import dynamics as dyn
 from momentflow import oracle as orc
@@ -246,13 +247,13 @@ def test_A5_effective_action_identity():
         )
         for n in (2, 4, 6):
             worst_lemma = max(
-                worst_lemma, abs(adi.lemma_constraint_residual(q, qdot, n, cfg, model))
+                worst_lemma, abs(inv.lemma_constraint_residual(q, qdot, n, cfg, model))
             )
         worst_g2 = max(
             worst_g2,
             abs(
                 adi.g2_correction(q, qdot, qdd, cfg, model)
-                - adi.g2_correction_expanded(q, qdot, qdd, cfg, model)
+                - inv.g2_correction_expanded(q, qdot, qdd, cfg, model)
             ),
         )
 

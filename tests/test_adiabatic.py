@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import adiabatic_invariants as inv
 from momentflow import adiabatic as adi
 from momentflow.errors import AdiabaticBreakdownError, ConfigError, RangeError
 from momentflow.hamiltonian import (
@@ -101,17 +102,17 @@ def test_ladder_residual_vanishes():
     H = _quartic_model(0.25)
     for q, qdot, qddot in [(0.7, 0.3, -0.2), (1.4, -0.6, 0.1)]:
         for order in (1, 2):
-            res = adi.ladder_residual(q, qdot, qddot, order, cfg, H)
+            res = inv.ladder_residual(q, qdot, qddot, order, cfg, H)
             assert np.max(np.abs(res)) < 1e-10
     with pytest.raises(RangeError):
-        adi.ladder_residual(0.5, 0.0, 0.0, 3, cfg, H)
+        inv.ladder_residual(0.5, 0.0, 0.0, 3, cfg, H)
 
 
 def test_ladder_residual_nonvacuum_constant():
     cfg = adi.AdiabaticConfig(C2=0.9)
     H = _quartic_model(0.4)
     for order in (1, 2):
-        res = adi.ladder_residual(1.1, 0.5, -0.3, order, cfg, H)
+        res = inv.ladder_residual(1.1, 0.5, -0.3, order, cfg, H)
         assert np.max(np.abs(res)) < 1e-10
 
 
@@ -119,7 +120,7 @@ def test_lemma_constraint_residual_vanishes():
     cfg = adi.AdiabaticConfig(C2=0.6, Cn={4: 0.9, 6: 2.0})
     H = _quartic_model(0.35)
     for n in (2, 4, 6):
-        assert abs(adi.lemma_constraint_residual(0.8, 0.5, n, cfg, H)) < 1e-12
+        assert abs(inv.lemma_constraint_residual(0.8, 0.5, n, cfg, H)) < 1e-12
 
 
 def test_g2_compact_equals_expanded():
@@ -128,7 +129,7 @@ def test_g2_compact_equals_expanded():
         cfg = adi.AdiabaticConfig(C2=C2)
         for q, qdot, qddot in [(0.6, 0.2, -0.1), (1.3, -0.4, 0.3)]:
             a = adi.g2_correction(q, qdot, qddot, cfg, H)
-            b = adi.g2_correction_expanded(q, qdot, qddot, cfg, H)
+            b = inv.g2_correction_expanded(q, qdot, qddot, cfg, H)
             assert a == pytest.approx(b, rel=1e-12)
 
 

@@ -343,10 +343,34 @@ def test_adiabatic_breakdown_writes_partial_on_requested_grid(tmp_path, capsys):
     assert err.startswith("trajectory incomplete: ") and "Traceback" not in err
     t = np.loadtxt(tmp_path / "adiabatic.csv", delimiter=",", skiprows=1, usecols=0)
     grid = np.linspace(0.0, 2 * math.pi, 201)
-    assert 1 < t.size < grid.size
+    assert t.size == 196
     assert np.array_equal(t, grid[:t.size]) and t[-1] < 6.1428 < grid[t.size]
+    assert hashlib.sha256((tmp_path / "adiabatic.csv").read_bytes()).hexdigest() == (
+        "edba9cf35d13dbddad4b859b289d1923a34eaf59e7b8e2df92e88dcdf53d6af6")
+    # meta.json and the message say where and why the run stopped
     meta = json.loads((tmp_path / "adiabatic.meta.json").read_text())
     assert meta["complete"] is False
+    t_stop = meta["stats"]["t_stop"]
+    assert t_stop == pytest.approx(6.142794649177336, abs=1e-9)
+    assert "adiabatic breakdown" in meta["stats"]["stop_cause"]
+    assert "adiabatic breakdown" in err and f"t={t_stop!r}" in err
+
+
+def test_simulate_cosmology_p_guard_says_when(tmp_path, capsys):
+    # from c = 1 the volume p collapses: the p-guard event ends the run
+    # before the stepper fails, and the message and meta.json name it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "cosmology", "n_max": 2, "t1": 1.0,
+                               "initial": {"kind": "coherent", "q0": 1.0, "p0": 1.0}}))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    stats = json.loads((tmp_path / "trajectory.meta.json").read_text())["stats"]
+    assert stats["status"] == 1 and "p-guard" in stats["stop_cause"]
+    assert "p-guard" in err and f"t={stats['t_stop']!r}" in err
+    t = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1, usecols=0)
+    grid = np.linspace(0.0, 1.0, 201)
+    assert 1 < t.size < grid.size and np.array_equal(t, grid[:t.size])
+    assert t[-1] <= stats["t_stop"] < grid[t.size]
 
 
 def test_adiabatic_rejects_free(tmp_path):

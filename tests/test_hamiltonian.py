@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fold_reference as fold
+from fold_reference import exact_items
 from momentflow.errors import ConfigError, DomainError, RangeError
 from momentflow.hamiltonian import (
     ClassicalHamiltonian,
@@ -293,6 +295,20 @@ def test_compile_bit_identical_to_term_loop(kind, n_max, closure, rng):
         assert np.array_equal(rhs(y), _reference_rhs(system, hbar, y))
 
 
+@pytest.mark.parametrize("kind,n_max,closure", [
+    (kind, n_max, closure) for closure in ("zero", "gaussian-factorize")
+    for kind, n_max in (("quartic", 6), ("callable", 4), ("cosmology", 4))])
+def test_generate_eom_equals_fold_reference(kind, n_max, closure):
+    # the one-dict bracket and closure passes against the polynomial fold:
+    # the same terms in the same key order, with the same coefficients
+    system, _, _ = _lowering_case(kind, n_max, closure, np.random.default_rng(0), states=0)
+    HQ = expand_quantum_hamiltonian(system.model, n_max)
+    want = fold.generate_eom_rhs(HQ, closure)
+    assert list(system.rhs) == list(want)
+    for var, poly in want.items():
+        assert exact_items(system.rhs[var]) == exact_items(poly)
+
+
 def test_compile_returns_fresh_arrays(rng):
     # the stepper keeps the derivative at the step's end for the next step:
     # a reused output buffer would overwrite it on the next call
@@ -339,6 +355,17 @@ LISTING_SHA256 = {
     ("cosmology", 4, "gaussian-factorize"): (
         "076e10c0e691b6535ed399b8107204b6be9693cf2a0d5214e2901029e1e8ef18",
         "5d829c1d0e287ba688d233d352c03736da92e99ed28e0f13cfc615760facc9b7"),
+    # the top order of the derive benchmark, and Fraction exponents with
+    # float coefficients under a closure that multiplies them out
+    ("quartic", 12, "zero"): (
+        "00694c6d8d79bc0f4caad40f15c60356df66d2ef94153372e720816474c62d80",
+        "f3ba0ca05b313800ed5c9b97e86b8633675673edde5c5ac7dd504b8563a488da"),
+    ("quartic", 12, "gaussian-factorize"): (
+        "d244d94954b2a78f76155bb7a4aa6e02e363acce0bb1af0ec629e90cfc0896ee",
+        "a909218898718b0742206fb3d91685da5c03d2d3967bab743530f70fe7aecc6a"),
+    ("cosmology", 6, "gaussian-factorize"): (
+        "5094c47fb27c9fa846a9aa55491e8d8d7d3622bf310b9fead9c87d9f5669a91b",
+        "ea5789673555a15eacdfcac0279acc49dfc0e9ca18cf43839dd2b05f88e7b583"),
 }
 
 
@@ -350,6 +377,36 @@ def test_listing_bytes_pinned(model, n_max, closure):
     digests = tuple(hashlib.sha256(listing.encode()).hexdigest()
                     for listing in (system.listing_text(), system.listing_json()))
     assert digests == LISTING_SHA256[model, n_max, closure]
+
+
+def _dumps_listing(system):
+    """The listing as one json.dumps call, the reference for listing_json."""
+    eqs = []
+    for var in system.variables:
+        terms = [{"coeff": str(c) if isinstance(c, Fraction) else c, "hbar_power": str(h),
+                  "x": [[sym, str(e)] for sym, e in x], "moments": [str(g) for g in gs]}
+                 for c, h, x, gs in system.rhs[var].terms()]
+        eqs.append({"variable": var if isinstance(var, str) else str(var), "terms": terms})
+    meta = {"model": system.model.kind, "n_max": system.n_max, "closure": system.closure}
+    return json.dumps({"meta": meta, "equations": eqs}, indent=2, sort_keys=True)
+
+
+def test_listing_json_equals_json_dumps():
+    H = ClassicalHamiltonian(kind="cosmology", gamma=0.9, kappa=1.2, E=1)
+    system = generate_eom(expand_quantum_hamiltonian(H, 4), "gaussian-factorize")
+    assert system.listing_json() == _dumps_listing(system)
+    # floats json spells its own way, a numpy float, a subnormal, an empty
+    # equation and both exponent types
+    system.rhs["p"] = MomentPolynomial({
+        (0, (("p", Fraction(-1, 2)),), ()): math.nan,
+        (1, (("c", 3),), (G(0, 2),)): math.inf,
+        (2, (), (G(1, 2), G(1, 2))): -math.inf,
+        (0, (), (G(2, 2),)): np.float64(0.1),
+        (3, (), ()): 5e-324,
+        (0, (("c", 1),), ()): Fraction(-7, 3),
+    })
+    system.rhs[G(0, 2)] = MomentPolynomial()
+    assert system.listing_json() == _dumps_listing(system)
 
 
 def test_listing_json_structure():

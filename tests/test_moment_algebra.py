@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fold_reference as fold
+from fold_reference import exact_items
 from momentflow import oracle as orc
 from momentflow.errors import RangeError, StateError, UnsupportedProviderError
 from momentflow.moment_algebra import (
@@ -214,6 +216,53 @@ def test_polynomial_sum_is_left_fold(ps):
     for p in ps:
         fold = fold + p
     assert _exact(MomentPolynomial.sum(ps)) == _exact(fold)
+
+
+# -- the accumulating bracket against the fold reference --------------------
+
+_ref_coeff = st.one_of(st.fractions(-3, 3, max_denominator=5).filter(bool),
+                       st.sampled_from([0.1, -0.3, 2.5, 1e16, -1e-3]))
+_ref_term = st.builds(
+    lambda c, h, i, e, gs: MomentPolynomial.term(c, hbar=h, x={"q": i, "p": e}, gs=gs),
+    _ref_coeff, st.integers(0, 2), st.integers(0, 2),
+    st.sampled_from([0, 1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2)]),
+    st.lists(_moment, max_size=2),
+)
+_ref_poly = st.lists(_ref_term, min_size=1, max_size=4).map(MomentPolynomial.sum)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ref_poly, _ref_poly, st.sampled_from([Fraction(1), Fraction(-2, 3), 0.3]))
+def test_bracket_general_equals_fold_reference(P, Q, scale):
+    # same keys in the same order, same coefficient types and values
+    got = bracket_general(P, Q, scale=scale)
+    assert exact_items(got) == exact_items(fold.bracket_general(P, Q, scale=scale))
+
+
+def test_bracket_moments_equals_fold_reference():
+    one = [g for n in range(2, 7) for g in moment_indices(n, 1)]
+    two = [g for n in range(2, 5) for g in moment_indices(n, 2)]
+    for idxs in (one, two):
+        for i1 in idxs:
+            for i2 in idxs:
+                assert exact_items(bracket_moments(i1, i2)) == exact_items(fold.bracket_moments(i1, i2))
+
+
+_jacobi_term = st.builds(
+    lambda c, i, j, gs: MomentPolynomial.term(c, x={"q": i, "p": j}, gs=gs),
+    _coeff, st.integers(0, 2), st.integers(0, 2), st.lists(_moment, max_size=1),
+)
+_jacobi_poly = st.lists(_jacobi_term, min_size=1, max_size=2).map(MomentPolynomial.sum)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_jacobi_poly, _jacobi_poly, _jacobi_poly)
+def test_bracket_general_jacobi_identity(P, Q, R):
+    # exact rational coefficients, so the cyclic sum cancels term by term
+    cyclic = MomentPolynomial.sum([bracket_general(P, bracket_general(Q, R)),
+                                   bracket_general(Q, bracket_general(R, P)),
+                                   bracket_general(R, bracket_general(P, Q))])
+    assert cyclic.is_zero()
 
 
 # -- oracle cross-checks ----------------------------------------------------
