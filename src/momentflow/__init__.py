@@ -32,6 +32,7 @@ from .moment_algebra import (
     gaussian_pairings,
     kk_coefficient,
     moment_indices,
+    moment_vars,
 )
 from .hamiltonian import (
     ClassicalHamiltonian,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import AdiabaticBreakdownError, ConfigError, DomainError, RangeError, StiffnessError
 from .dynamics import TOO_SMALL_STEP, Trajectory, coherent_tilde_moment, dormand_prince
 from .hamiltonian import ClassicalHamiltonian, from_dimensionless
-from .moment_algebra import MomentIndex, SemiclassicalState, moment_indices
+from .moment_algebra import SemiclassicalState, moment_vars
 
 __all__ = [
     "AdiabaticConfig",
@@ -165,6 +165,19 @@ def _qddot(q: float, qdot: float, config, H, hbar) -> float:
     return -(co.F_q + co.B * qdot**2) / co.m_eff
 
 
+def _adiabatic(q: float, qdot: float, qddot: float, e: int, config, H) -> list[float]:
+    """Dimensionless G(a, 2), a = 0, 1, 2, with the corrections through
+    adiabatic order e: G1 replaces the vanishing G0(1, 2) (an assignment,
+    so a -0.0 correction stays -0.0), G2 adds to G0(0, 2) and G0(2, 2)."""
+    g = [g0_moments(q, 2, a, config, H) for a in range(3)]
+    if e >= 1:
+        g[1] = g1_correction(qdot, q, config, H)
+    if e >= 2:
+        g[0] += g2_correction(q, qdot, qddot, config, H)
+        g[2] += g2_pp_correction(q, qdot, qddot, config, H)
+    return g
+
+
 def solve_effective(
     config: AdiabaticConfig,
     H: ClassicalHamiltonian,
@@ -204,19 +217,8 @@ def solve_effective(
     m, w = H.m, H.omega
     rows = []
     for q, qd in run.y:
-        qdd = _qddot(q, qd, config, H, hbar)
-        g02 = g0_moments(q, 2, 0, config, H) + g2_correction(q, qd, qdd, config, H)
-        g12 = g1_correction(qd, q, config, H)
-        g22 = g0_moments(q, 2, 2, config, H) + g2_pp_correction(q, qd, qdd, config, H)
-        rows.append(
-            [
-                q,
-                qd,
-                from_dimensionless(g02, 0, 2, m, w, hbar),
-                from_dimensionless(g12, 1, 2, m, w, hbar),
-                from_dimensionless(g22, 2, 2, m, w, hbar),
-            ]
-        )
+        g = _adiabatic(q, qd, _qddot(q, qd, config, H, hbar), 2, config, H)
+        rows.append([q, qd, *(from_dimensionless(g[a], a, 2, m, w, hbar) for a in range(3))])
     labels = ["q", "qdot", "G_0_2", "G_1_2", "G_2_2"]
     stats = {"nfev": run.nfev, "nsteps": run.nsteps, "nrejected": run.nrejected,
              "rtol": rtol, "atol": atol, "t_stop": float(run.t_stop)}
@@ -251,20 +253,12 @@ class AdiabaticEmbedding:
         H, cfg = self.model, self.config
         m, w = H.m, H.omega
         qdot = p / m
-        qddot = _qddot(q, qdot, cfg, H, hbar)
+        n2 = _adiabatic(q, qdot, _qddot(q, qdot, cfg, H, hbar), cfg.e, cfg, H)
         moments = {}
-        for n in range(2, n_top + 1):
-            for idx in moment_indices(n, 1):
-                a = idx.p_power
-                val = g0_moments(q, n, a, cfg, H)
-                if n == 2 and cfg.e >= 1 and a == 1:
-                    val += g1_correction(qdot, q, cfg, H)
-                if n == 2 and cfg.e >= 2:
-                    if a == 0:
-                        val += g2_correction(q, qdot, qddot, cfg, H)
-                    elif a == 2:
-                        val += g2_pp_correction(q, qdot, qddot, cfg, H)
-                moments[idx] = from_dimensionless(val, a, n, m, w, hbar)
+        for idx in moment_vars(n_top):
+            n, a = idx.order, idx.p_power
+            val = n2[a] if n == 2 else g0_moments(q, n, a, cfg, H)
+            moments[idx] = from_dimensionless(val, a, n, m, w, hbar)
         return SemiclassicalState(hbar, {"q": q, "p": p}, moments, n_top, H.potential)
 
     def flow(self, q: float, p: float, hbar: float, n_top: int) -> np.ndarray:
@@ -273,13 +267,12 @@ class AdiabaticEmbedding:
         qdot = p / m
         qddot = _qddot(q, qdot, cfg, H, hbar)
         out = [qdot, m * qddot]
-        for n in range(2, n_top + 1):
-            for idx in moment_indices(n, 1):
-                a = idx.p_power
-                val = g0_time_derivative(q, qdot, n, a, cfg, H)
-                if n == 2 and cfg.e >= 2 and a == 1:
-                    val += self._g1_time_derivative(q, qdot, qddot)
-                out.append(from_dimensionless(val, a, n, m, w, hbar))
+        for idx in moment_vars(n_top):
+            n, a = idx.order, idx.p_power
+            val = g0_time_derivative(q, qdot, n, a, cfg, H)
+            if n == 2 and cfg.e >= 2 and a == 1:
+                val += self._g1_time_derivative(q, qdot, qddot)
+            out.append(from_dimensionless(val, a, n, m, w, hbar))
         return np.array(out)
 
     def _g1_time_derivative(self, q: float, qdot: float, qddot: float) -> float:

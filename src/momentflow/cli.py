@@ -46,6 +46,7 @@ from .errors import (
     StiffnessError,
 )
 from .hamiltonian import (
+    CLOSURES,
     ClassicalHamiltonian,
     PotentialSpec,
     expand_quantum_hamiltonian,
@@ -56,7 +57,7 @@ from .moment_algebra import (
     SemiclassicalState,
     bracket_moments,
     check_uncertainty_order2,
-    moment_indices,
+    moment_vars,
 )
 from .states import SqueezeMatrix, squeezed_moment
 
@@ -119,7 +120,7 @@ CONFIG_SCHEMA = {
     "g3": (1.0, *NUMBER),
     "n_max": (3, *AT_LEAST_2),
     "dof": (1, lambda v: _integer(v) and v in (1, 2), "1 or 2"),
-    "closure": ("zero", *_one_of("zero", "gaussian-factorize")),
+    "closure": ("zero", *_one_of(*CLOSURES)),
     "rtol": (1e-8, *POSITIVE),
     "atol": (1e-10, *POSITIVE),
     "initial": ({"kind": "coherent"}, lambda v: isinstance(v, dict), "an object"),
@@ -235,10 +236,7 @@ def initial_state(cfg: dict, model: ClassicalHamiltonian) -> SemiclassicalState:
             gamma=cfg["gamma"], kappa=cfg["kappa"], E=cfg["E"], hbar=hbar,
             ell=cfg["ell"], g0=cfg["g0"], g32=cfg["g32"], g3=cfg["g3"],
         )
-        moments = dict(cosmology_moments(params, q0, p0))
-        for n in range(3, n_max + 1):
-            for idx in moment_indices(n, 1):
-                moments.setdefault(idx, 0.0)
+        moments = {**dict.fromkeys(moment_vars(n_max), 0.0), **cosmology_moments(params, q0, p0)}
         return SemiclassicalState(hbar, {"c": q0, "p": p0}, moments, n_max)
 
     m, w = cfg["m"], _reference_omega(cfg)
@@ -247,10 +245,10 @@ def initial_state(cfg: dict, model: ClassicalHamiltonian) -> SemiclassicalState:
     elif init["kind"] == "squeezed":
         g = SqueezeMatrix(init["g"])
         # states module works in m w = 1 units
-        moments = {idx: (m * w) ** (idx.p_power - n / 2) * squeezed_moment(g, idx, hbar)
-                   for n in range(2, n_max + 1) for idx in moment_indices(n, 1)}
+        moments = {idx: (m * w) ** (idx.p_power - idx.order / 2) * squeezed_moment(g, idx, hbar)
+                   for idx in moment_vars(n_max)}
     else:
-        moments = {idx: 0.0 for n in range(2, n_max + 1) for idx in moment_indices(n, 1)}
+        moments = dict.fromkeys(moment_vars(n_max), 0.0)
         moments.update((_moment_index(lbl), float(val)) for lbl, val in init["values"].items())
     pot = model.potential if model.kind == "oscillator" else None
     return SemiclassicalState(hbar, {"q": q0, "p": p0}, moments, n_max, pot)
@@ -400,7 +398,7 @@ def cmd_compare(cfg: dict) -> int:
 
 def cmd_brackets(cfg: dict) -> int:
     n_max, dof = cfg["n_max"], cfg["dof"]
-    idxs = [idx for n in range(2, n_max + 1) for idx in moment_indices(n, dof)]
+    idxs = moment_vars(n_max, dof)
     lines = []
     for i1 in idxs:
         for i2 in idxs:
@@ -447,11 +445,8 @@ def cmd_order_check(cfg: dict) -> int:
         emb = AdiabaticEmbedding(model)
     elif cfg["model"] == "free":
         consts = coherent_free_constants(1.0, 1.0, cfg["m"], _reference_omega(cfg), 1.0)
-        ref = {
-            idx: free_particle_moments(consts, 1.0, 1.0, 2)[idx.p_power]
-            for idx in moment_indices(2, 1)
-        }
-        emb = FreeConstantEmbedding(model, ref)
+        g2 = free_particle_moments(consts, 1.0, 1.0, 2)
+        emb = FreeConstantEmbedding(model, {idx: g2[idx.p_power] for idx in moment_vars(2)})
     else:
         raise ConfigError("order-check supports harmonic, quartic, free")
     result = order_check(emb, model, hbars, n_max=cfg["n_max"])

@@ -24,7 +24,7 @@ from .hamiltonian import (
     from_dimensionless,
     generate_eom,
 )
-from .moment_algebra import MomentIndex, SemiclassicalState, gaussian_moment, moment_indices
+from .moment_algebra import MomentIndex, SemiclassicalState, gaussian_moment, moment_vars
 
 __all__ = [
     "Trajectory",
@@ -321,7 +321,9 @@ def integrate(
     p_guard = None
     if system.model.kind == "cosmology":
         p_index = system.variables.index("p")
-        # stop well before the p^{-1/2} singularity makes stepping fail
+        # stop before p reaches 0, where the p^{-1/2} terms diverge.  From p0 = 1
+        # only n_max 2 runs with c0 >= 1 reach this floor: at n_max >= 3, and
+        # for c0 < 0, the step size collapses first (StiffnessError)
         p_floor = max(1e-12, 1e-6 * abs(y0[p_index]))
 
         def p_guard(y):
@@ -357,11 +359,8 @@ def coherent_tilde_moment(a: int, n: int) -> float:
 def coherent_moments(n_max: int, m: float, w: float, hbar: float) -> dict[MomentIndex, float]:
     """Moments of orders 2..n_max of a coherent state of the oscillator with
     mass m and frequency w."""
-    return {
-        idx: from_dimensionless(coherent_tilde_moment(idx.p_power, n), idx.p_power, n, m, w, hbar)
-        for n in range(2, n_max + 1)
-        for idx in moment_indices(n, 1)
-    }
+    return {idx: from_dimensionless(coherent_tilde_moment(idx.p_power, idx.order), idx.p_power,
+                                    idx.order, m, w, hbar) for idx in moment_vars(n_max)}
 
 
 @dataclass
@@ -501,6 +500,10 @@ class CosmologyParams:
         if p <= 0:
             raise DomainError("cosmology closed forms need p > 0")
 
+    def _e3x2(self, c: float, p: float) -> float:
+        """e^{3x/2} = (ell c^2 / sqrt(p))^{3/4}, for p > 0."""
+        return math.exp(1.5 * self.x_coord(c, p))
+
     def uncertainty_margin(self, c: float, p: float) -> float:
         """LHS - RHS of the n = 2 bound on the g constants; negative means
         the chosen (g0, g32, g3) are unphysical at this phase-space point."""
@@ -519,8 +522,7 @@ def cosmology_g_solution(params: CosmologyParams, c: float, p: float):
     Convention G(a, n) = c^{n-a} p^a g(a, n); the solution mixes the three
     rotation-invariant amplitudes with e^{3x/2} and e^{3x} weights.
     """
-    params._check(p)
-    ex = math.exp(1.5 * params.x_coord(c, p))  # (ell c^2 / sqrt(p))^{3/4}
+    ex = params._e3x2(c, p)
     g02 = params.g0 + params.g32 * ex + params.g3 * ex**2
     g12 = 2 * params.g0 - params.g32 * ex - 4 * params.g3 * ex**2
     g22 = 4 * params.g0 - 8 * params.g32 * ex + 16 * params.g3 * ex**2
@@ -547,8 +549,7 @@ def cosmology_effective_rhs(params: CosmologyParams, c: float, p: float):
     inserted, and the two are expected to agree per term only up to one
     global constant (reported by the cross-validation test).
     """
-    params._check(p)
-    ex = math.exp(1.5 * params.x_coord(c, p))
+    ex = params._e3x2(c, p)
     gamma = params.gamma
     cdot_cl = -(c**2) / math.sqrt(p) / gamma
     pdot_cl = 4 * c * math.sqrt(p) / gamma
@@ -592,8 +593,7 @@ def cosmology_moment_rates(params: CosmologyParams, c: float, p: float):
     linear order in the g amplitudes, reflecting the slow drift of the g
     constants themselves.
     """
-    params._check(p)
-    ex = math.exp(1.5 * params.x_coord(c, p))
+    ex = params._e3x2(c, p)
     gamma = params.gamma
     return {
         "G_0_2": -(c**3) / (gamma * math.sqrt(p)) * (params.g0 + 2.5 * params.g32 * ex + 4 * params.g3 * ex**2),
@@ -631,8 +631,7 @@ class HarmonicCoherentEmbedding:
 
     def flow(self, q: float, p: float, hbar: float, n_top: int) -> np.ndarray:
         m, w = self.model.m, self.model.omega
-        count = sum(len(moment_indices(n, 1)) for n in range(2, n_top + 1))
-        out = np.zeros(2 + count)
+        out = np.zeros(2 + len(moment_vars(n_top)))
         out[0] = p / m
         out[1] = -m * w**2 * q
         return out  # moments constant
@@ -650,34 +649,31 @@ class FreeConstantEmbedding:
         self.reference = reference_moments
 
     def state(self, q, p, hbar, n_top):
-        moments = {}
-        for n in range(2, n_top + 1):
-            for idx in moment_indices(n, 1):
-                moments[idx] = self.reference.get(idx, 0.0)
+        moments = {idx: self.reference.get(idx, 0.0) for idx in moment_vars(n_top)}
         return SemiclassicalState(hbar, {"q": q, "p": p}, moments, n_top)
 
     def flow(self, q, p, hbar, n_top):
-        count = sum(len(moment_indices(n, 1)) for n in range(2, n_top + 1))
-        out = np.zeros(2 + count)
+        out = np.zeros(2 + len(moment_vars(n_top)))
         out[0] = p / self.model.m
         return out
 
 
-def order_check(
-    embedding,
-    model,
-    hbars,
-    n_max: int = 3,
-    points=((1.0, 0.0), (0.6, 0.5), (0.2, -0.8)),
-    exact_floor: float = 1e-13,
-) -> OrderCheckResult:
+#: phase-space points (q, p) at which order_check compares the flows
+_CHECK_POINTS = ((1.0, 0.0), (0.6, 0.5), (0.2, -0.8))
+#: a mismatch below this at every hbar is reported as exact
+_EXACT_FLOOR = 1e-13
+
+
+def order_check(embedding, model, hbars, n_max: int = 3) -> OrderCheckResult:
     """Fit the hbar-scaling exponent of the flow mismatch X_H - iota_* X_eff.
 
     The mismatch is the Euclidean norm over the back-reaction components of
     (q, p) and all moments up to n_max + 2 (one extra order retained in the
-    embedded state relative to the effective flow).  An effective system of
-    order k shows slope >= k + 1; a mismatch below ``exact_floor`` at every
-    hbar reports exact instead of fitting.
+    embedded state relative to the effective flow), summed over
+    ``_CHECK_POINTS``.  An embedding's ``flow`` lists the moments in the
+    layout of ``moment_vars``, as the equation system does.  An effective
+    system of order k shows slope >= k + 1; a mismatch below
+    ``_EXACT_FLOOR`` at every hbar reports exact instead of fitting.
     """
     hbars = sorted(float(h) for h in hbars)
     if len(hbars) < 4 or hbars[-1] / hbars[0] < 99:
@@ -689,14 +685,14 @@ def order_check(
     for hbar in hbars:
         rhs = system.compile(hbar)
         total = 0.0
-        for q, p in points:
+        for q, p in _CHECK_POINTS:
             st = embedding.state(q, p, hbar, n_top)
             xh = rhs(system.pack(st))
             eff = embedding.flow(q, p, hbar, n_top)
             total += float(np.sum((xh - eff) ** 2))
         norms.append(math.sqrt(total))
 
-    if max(norms) < exact_floor:
+    if max(norms) < _EXACT_FLOOR:
         return OrderCheckResult(True, None, hbars, norms)
     slope = float(np.polyfit(np.log(hbars), np.log(norms), 1)[0])
     return OrderCheckResult(False, slope, hbars, norms)

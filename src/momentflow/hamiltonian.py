@@ -32,7 +32,7 @@ from .moment_algebra import (
     _potential_order,
     bracket_general,
     gaussian_pairings,
-    moment_indices,
+    moment_vars,
 )
 
 __all__ = [
@@ -46,6 +46,9 @@ __all__ = [
     "to_dimensionless",
     "from_dimensionless",
 ]
+
+#: the closure policies, for moments above the truncation order
+CLOSURES = ("zero", "gaussian-factorize")
 
 
 class PotentialSpec:
@@ -189,10 +192,10 @@ def closure_apply(policy: str, idx: MomentIndex) -> MomentPolynomial:
     identity (sum over perfect matchings of the n deviation factors into
     second moments, ``gaussian_pairings``), zero for odd order.
     """
+    if policy not in CLOSURES:
+        raise ConfigError(f"unknown closure policy {policy!r}")
     if policy == "zero":
         return MomentPolynomial.zero()
-    if policy != "gaussian-factorize":
-        raise ConfigError(f"unknown closure policy {policy!r}")
     if idx.dof != 1:
         raise ClosureError(f"gaussian-factorize not defined for {idx}")
     g_qq, g_qp, g_pp = (MomentIndex.single(a, 2) for a in range(3))
@@ -376,13 +379,11 @@ def generate_eom(HQ: QuantumHamiltonian, closure: str = "zero") -> EquationSyste
     writes every term into one dict, with the key order and coefficients
     of summing the term-by-closure products as ``MomentPolynomial``s.
     """
-    if closure not in ("zero", "gaussian-factorize"):
+    if closure not in CLOSURES:
         raise ConfigError(f"unknown closure policy {closure!r}")
     qv, pv = HQ.xvars
     scale = HQ.model.bracket_scale
-    mvars = []
-    for n in range(2, HQ.n_max + 1):
-        mvars.extend(moment_indices(n, 1))
+    mvars = moment_vars(HQ.n_max)
 
     rhs: dict[object, MomentPolynomial] = {}
     for var in (qv, pv):

@@ -132,6 +132,12 @@ def moment_indices(n: int, dof: int = 1) -> list[MomentIndex]:
     return sorted(out, key=MomentIndex.sort_key)
 
 
+def moment_vars(n_max: int, dof: int = 1) -> list[MomentIndex]:
+    """All moment indices of orders 2..n_max in canonical order: the one
+    moment layout of state vectors, equation systems and CSV columns."""
+    return [idx for n in range(2, n_max + 1) for idx in moment_indices(n, dof)]
+
+
 def _compositions(n: int, k: int):
     if k == 1:
         yield (n,)

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial import hermite as np_hermite
 
 from .errors import CapacityError, ReconstructionError, StateError
-from .moment_algebra import MomentIndex, SemiclassicalState, moment_indices
+from .moment_algebra import MomentIndex, SemiclassicalState, moment_vars
 
 __all__ = [
     "FockSpace",
@@ -195,8 +195,7 @@ def moments_of(psi: np.ndarray, space: FockSpace, up_to_n: int) -> Semiclassical
         )
     point = {kind if space.dof == 1 else f"{kind}{f}": _unit(kind, f, space.dof)
              for f in range(space.dof) for kind in "qp"}
-    polys = {idx: _central_poly(idx) for n in range(2, up_to_n + 1)
-             for idx in moment_indices(n, space.dof)}
+    polys = {idx: _central_poly(idx) for idx in moment_vars(up_to_n, space.dof)}
     _, values = _weyl_values([{(wk,): 1.0 for wk in point.values()}, *polys.values()], psi, space)
     x = {name: values[wk] for name, wk in point.items()}
     moments = {idx: _poly_value(poly, values) for idx, poly in polys.items()}

@@ -13,7 +13,6 @@ readings of the index-free display differ by exactly this transpose.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,6 +40,9 @@ EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # Whether the 2 is a convention or a typo is unresolved upstream; keep it
 # in one place.
 CLASSICAL_BLOCK_FACTOR = 2.0
+
+#: step of the central differences that omega_pullback takes without dg
+_FD_STEP = 1e-6
 
 
 class SqueezeMatrix:
@@ -214,53 +216,34 @@ class PulledBackForm:
 
 
 def _g_block_tensor(g, hbar: float) -> np.ndarray:
-    """W such that the fiber part is W[j1,j3,j2,j4] dg_{j1 j3} ^ dg_{j2 j4}."""
-    E = _as_squeeze(g).map
-    B = np.eye(2) + E
-    W = np.zeros((2, 2, 2, 2))
-    pref = hbar / 2**5
-    for j1, j3, j2, j4 in itertools.product(range(2), repeat=4):
-        acc = 0.0
-        for i1, i2, i3, i4 in itertools.product(range(2), repeat=4):
-            acc += (
-                (1.0 if i1 == i2 else 0.0)
-                * EPS[i3, i4]
-                * B[j1, i1]
-                * B[j2, i2]
-                * B[j3, i3]
-                * B[j4, i4]
-            )
-        W[j1, j3, j2, j4] = pref * acc
-    return W
+    """W such that the fiber part is W[j1,j3,j2,j4] dg_{j1 j3} ^ dg_{j2 j4}.
+
+    W = (hbar/32) sum_i delta_{i1 i2} eps_{i3 i4} B_{j1 i1} B_{j2 i2}
+    B_{j3 i3} B_{j4 i4} with B = 1 + M, the outer product of B B^T over
+    (j1, j2) and B eps B^T over (j3, j4)."""
+    B = np.eye(2) + _as_squeeze(g).map
+    return np.einsum("ac,bd->abcd", hbar / 2**5 * (B @ B.T), B @ EPS @ B.T)
 
 
-def omega_pullback(g_field, x, hbar: float, dg=None, fd_step: float = 1e-6) -> PulledBackForm:
+def omega_pullback(g_field, x, hbar: float, dg=None) -> PulledBackForm:
     """Pull the squeezed-subspace symplectic form back along x -> g(x).
 
     ``g_field(x)`` returns the symmetric 2x2 squeeze label; ``dg(x)``
     optionally returns the (2, 2, 2) array of d g_ij / d x^k, otherwise
-    central differences with the recorded step are used.
+    central differences with step ``_FD_STEP`` are used.
     """
     x = np.asarray(x, dtype=float)
     g0 = np.asarray(_as_squeeze(g_field(x)).g)
     if dg is not None:
         grads = np.asarray(dg(x), dtype=float)
     else:
-        grads = np.zeros((2, 2, 2))
-        for k in range(2):
-            dx = np.zeros(2)
-            dx[k] = fd_step
-            gp = np.asarray(_as_squeeze(g_field(x + dx)).g)
-            gm = np.asarray(_as_squeeze(g_field(x - dx)).g)
-            grads[:, :, k] = (gp - gm) / (2 * fd_step)
+        grads = np.stack([(_as_squeeze(g_field(x + dx)).g - _as_squeeze(g_field(x - dx)).g)
+                          / (2 * _FD_STEP) for dx in _FD_STEP * np.eye(2)], axis=-1)
 
     # classical block: sum_ij 2 eps_ij dx^i ^ dx^j = 2(eps_12 - eps_21) dq ^ dp
     x_coeff = CLASSICAL_BLOCK_FACTOR * (EPS[0, 1] - EPS[1, 0])
 
+    # fiber block: W[j1,j3,j2,j4] (dg_{j1 j3} ^ dg_{j2 j4})(d_q, d_p)
     W = _g_block_tensor(g0, hbar)
-    g_coeff = 0.0
-    for j1, j3, j2, j4 in itertools.product(range(2), repeat=4):
-        g_coeff += W[j1, j3, j2, j4] * (
-            grads[j1, j3, 0] * grads[j2, j4, 1] - grads[j1, j3, 1] * grads[j2, j4, 0]
-        )
+    g_coeff = np.einsum("abcd,abk,cdl,kl->", W, grads, grads, EPS)
     return PulledBackForm(float(x_coeff), float(g_coeff), W)

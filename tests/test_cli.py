@@ -329,6 +329,9 @@ def test_adiabatic_quartic(tmp_path):
     with open(tmp_path / "adiabatic.csv") as fh:
         header = fh.readline().strip().split(",")
     assert header == ["t", "q", "qdot", "G_0_2", "G_1_2", "G_2_2"]
+    # p0 = 0 makes G_1_2 at t = 0 the correction -0.0, which 0.0 + G1 would turn into 0
+    assert hashlib.sha256((tmp_path / "adiabatic.csv").read_bytes()).hexdigest() == (
+        "684c83c6153ebc58672f2f6677216c1bff915f1f25165d9f7d050a9b8e696df1")
 
 
 def test_adiabatic_breakdown_writes_partial_on_requested_grid(tmp_path, capsys):
@@ -436,6 +439,12 @@ def test_brackets_bytes_pinned(capsys):
     assert digest == "be13a13aef0d10e8ab6532690a471c06eb930628c68c28e892aab9a8f9419fb3"
 
 
+def test_brackets_one_dof_bytes_pinned(capsys):
+    assert cli.main(["brackets", "5"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "eef92f2bb0bb5b5982430fd4bee321118336c97ec1e1ed1b42e47badeb55d1f5"
+
+
 def test_brackets_bad_dof(capsys):
     assert cli.main(["brackets", "2", "3"]) == 3
 
@@ -500,6 +509,18 @@ def test_order_check_quartic_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert not payload["exact"]
     assert 1.8 <= payload["slope"] <= 2.2
+
+
+@pytest.mark.parametrize("model, digest", [
+    ("quartic", "ddbc62931610807c0c3ae8f124f1653435846624f87bb8302f18e720bb478ef0"),
+    ("free", "faf630d8884d07939e07ebda734bd6a757c44d200b7b42f2cf1d86ed8db9fd5d"),
+    ("harmonic", "3a5347e96d56c8de04a59f5a10a72d8e777060110f6f7dfa2d35edc7ee300b0d"),
+])
+def test_order_check_json_bytes_pinned(capsys, model, digest):
+    # the embeddings' states and flows, the adiabatic n = 2 moments and the
+    # fit all reach these bytes
+    assert cli.main(["order-check", "--model", model, "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_order_check_rejects_cosmology(capsys):

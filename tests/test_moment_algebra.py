@@ -2,11 +2,13 @@
 oracle, generating-function consistency, and uncertainty checks."""
 
 import math
+import sys
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fold_reference as fold
@@ -28,6 +30,7 @@ from momentflow.moment_algebra import (
     gaussian_pairings,
     kk_coefficient,
     moment_indices,
+    moment_vars,
 )
 
 
@@ -111,6 +114,31 @@ def test_kk_out_of_range():
         kk_coefficient(-1, 0, (1,), (2,), (0,), (0,), (2,))
     with pytest.raises(RangeError):
         kk_coefficient(0, 5, (1,), (2,), (0,), (0,), (2,))
+
+
+@pytest.mark.parametrize("dof, top", [(1, 6), (2, 4)])
+def test_kk_table_gives_every_linear_bracket_term(dof, top):
+    # the linear part of {G^a_b, G^c_d} is sum_{r,s,e} (-1)^{r+s} (hbar/2)^{2r}
+    # K(r, s, e) G^{a+c-e}_{b+d-e}: each e fixes the result index, so the
+    # coefficient of hbar^{2r} G^{a+c-e}_{b+d-e} is the sum over s
+    idxs = moment_vars(top, dof)
+    for i1, i2 in product(idxs, repeat=2):
+        a, b, c, d = i1.q_powers, i1.p_powers, i2.q_powers, i2.p_powers
+        linear = {(h, gs): coeff for coeff, h, _, gs in bracket_moments(i1, i2).terms()
+                  if len(gs) < 2}
+        expected = {}
+        ranges = [range(min(a[f], d[f]) + min(b[f], c[f]) + 1) for f in range(dof)]
+        for e in product(*ranges):
+            if sum(e) % 2 == 0:
+                continue
+            r = (sum(e) - 1) // 2
+            coeff = sum((-1) ** (r + s) * kk_coefficient(r, s, e, a, b, c, d)
+                        for s in range(2 * r + 2)) / 4**r
+            g = MomentIndex(tuple(x - y for x, y in zip(map(sum, zip(a, c)), e)),
+                            tuple(x - y for x, y in zip(map(sum, zip(b, d)), e)))
+            if coeff and g.order != 1:
+                expected[2 * r, (g,) if g.order else ()] = coeff
+        assert linear == expected, (i1, i2)
 
 
 # -- closed-form brackets ---------------------------------------------------
@@ -437,13 +465,17 @@ def test_gaussian_pairings_count_matchings(jk):
     st.floats(0.05, 3.0),
     st.floats(-0.99, 0.99),
 )
+@example((1, 3), 1.0, 0.5, 5e-324)
 def test_gaussian_moment_matches_matching_sum(jk, c_qq, c_pp, rho):
     j, k = jk
     c_qp = rho * math.sqrt(c_qq * c_pp)
     factors = (0,) * j + (1,) * k
     ref = _matching_sum(factors, [[c_qq, c_qp], [c_qp, c_pp]])
     scale = _matching_sum(factors, [[c_qq, abs(c_qp)], [abs(c_qp), c_pp]])
-    assert abs(gaussian_moment(j, k, c_qq, c_qp, c_pp) - ref) <= 1e-13 * scale
+    # below the normal range relative precision does not exist: a subnormal
+    # correlation can leave 1e-323 in one sum and underflow to 0 in the other
+    bound = max(1e-13 * scale, sys.float_info.min)
+    assert abs(gaussian_moment(j, k, c_qq, c_qp, c_pp) - ref) <= bound
 
 
 # -- uncertainty ------------------------------------------------------------
