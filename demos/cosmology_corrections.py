@@ -5,10 +5,8 @@ classical collapse; second-order moments add correction terms to the
 (c, p) equations.  This script prints the correction series extracted
 from the direct bracket flow for a range of volumes, then integrates a
 collapsing trajectory with back-reaction until the moment growth stops
-the run, demonstrating the flagged partial trajectory.
+the run, demonstrating the flagged partial trajectory and its stop cause.
 """
-
-import numpy as np
 
 from momentflow import (
     ClassicalHamiltonian,
@@ -20,7 +18,6 @@ from momentflow import (
     generate_eom,
     integrate,
 )
-from momentflow.errors import DomainError, StiffnessError
 
 params = CosmologyParams(g0=1e-3, g32=0.0, g3=1e-3, hbar=1e-4)
 
@@ -40,12 +37,7 @@ system = generate_eom(expand_quantum_hamiltonian(model, 2))
 c0, p0 = -0.5, 1.0
 s0 = SemiclassicalState(1.0, {"c": c0, "p": p0}, cosmology_moments(strong, c0, p0), 2)
 
-try:
-    traj = integrate(system, s0, (0.0, 50.0))
-    t_end, p_end = traj.t[-1], traj.column("p")[-1]
-    note = "guard" if not traj.complete else "no failure"
-except (StiffnessError, DomainError) as exc:
-    t_end, p_end, note = getattr(exc, "t", float("nan")), float("nan"), type(exc).__name__
-
-print(f"\ncollapse run from p = {p0}: stopped at t = {t_end:.3f} ({note})")
-print("the CLI 'simulate' subcommand salvages the part before the failure")
+traj = integrate(system, s0, (0.0, 50.0))
+print(f"\ncollapse run from p = {p0}: stopped at t = {traj.stats['t_stop']:.3f} "
+      f"({traj.stats.get('stop_cause', 'reached t1')})")
+print(f"the trajectory keeps the {traj.t.size} samples before that, complete={traj.complete}")

@@ -14,7 +14,6 @@ from .errors import (
     RangeError,
     ReconstructionError,
     StateError,
-    StiffnessError,
     UnsupportedProviderError,
 )
 from .moment_algebra import (

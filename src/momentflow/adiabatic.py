@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdiabaticBreakdownError, ConfigError, DomainError, RangeError, StiffnessError
-from .dynamics import TOO_SMALL_STEP, Trajectory, coherent_tilde_moment, dormand_prince
+from .errors import AdiabaticBreakdownError, ConfigError, DomainError, RangeError
+from .dynamics import coherent_tilde_moment, dormand_prince
 from .hamiltonian import ClassicalHamiltonian, from_dimensionless
 from .moment_algebra import SemiclassicalState, moment_vars
 
@@ -69,11 +69,17 @@ class AdiabaticConfig:
         return self.Cn.get(n, coherent_tilde_moment(0, n))
 
 
-def _checked_u(q: float, H: ClassicalHamiltonian, order: int = 2) -> list[float]:
-    """[u, u', u'', ...] with u = U''/m w^2, derivatives with respect to q.
-    Raises the infrared breakdown error when 1 + u is not safely positive."""
+def _u(q: float, H: ClassicalHamiltonian, order: int = 0) -> list[float]:
+    """[u, u', u'', ...] through the order-th derivative, with u = U''/m w^2
+    and derivatives with respect to q."""
     mw2 = H.m * H.omega**2
-    vals = [H.potential.derivative(q, 2 + i) / mw2 for i in range(order + 1)]
+    return [H.potential.derivative(q, 2 + i) / mw2 for i in range(order + 1)]
+
+
+def _checked_u(q: float, H: ClassicalHamiltonian, order: int = 2) -> list[float]:
+    """``_u``, raising the infrared breakdown error when 1 + u is not safely
+    positive."""
+    vals = _u(q, H, order)
     if 1 + vals[0] <= BREAKDOWN_EPS:
         raise AdiabaticBreakdownError(
             f"1 + U''/m w^2 = {1 + vals[0]:.3e} at q = {q}; adiabatic expansion broke down"
@@ -192,9 +198,8 @@ def solve_effective(
     """Integrate the corrected Newton equation; returns a trajectory over
     (q, qdot) with the reconstructed dimensionful n = 2 moments appended.
 
-    Adiabatic breakdown mid-run terminates cleanly with the trajectory
-    flagged incomplete; ``stats`` records the stop time ``t_stop`` and the
-    ``stop_cause``.
+    Adiabatic breakdown or a step-size collapse mid-run ends it with the
+    trajectory flagged incomplete (see ``StepperRun.trajectory``).
     """
     # the terminal event fires a safety margin above the hard breakdown
     # threshold; trial steps that overshoot past it fall back to a frozen
@@ -208,28 +213,21 @@ def solve_effective(
             return np.array([y[1], 0.0])
 
     def breakdown(y):
-        mw2 = H.m * H.omega**2
-        return 1 + H.potential.derivative(y[0], 2) / mw2 - event_eps
+        return 1 + _u(y[0], H)[0] - event_eps
 
     t_eval = np.linspace(t_span[0], t_span[1], n_samples)
     run = dormand_prince(rhs, [q0, qdot0], t_eval, rtol, atol, event=breakdown)
 
     m, w = H.m, H.omega
     rows = []
-    for q, qd in run.y:
-        g = _adiabatic(q, qd, _qddot(q, qd, config, H, hbar), 2, config, H)
-        rows.append([q, qd, *(from_dimensionless(g[a], a, 2, m, w, hbar) for a in range(3))])
-    labels = ["q", "qdot", "G_0_2", "G_1_2", "G_2_2"]
-    stats = {"nfev": run.nfev, "nsteps": run.nsteps, "nrejected": run.nrejected,
-             "rtol": rtol, "atol": atol, "t_stop": float(run.t_stop)}
-    if run.status == 1:
-        stats["stop_cause"] = "adiabatic breakdown: 1 + U''/(m omega^2) fell to its safety margin"
-    meta = {"C2": config.C2, "e": config.e}
-    traj = Trajectory(run.t, np.array(rows), labels, hbar, stats, meta, complete=run.status == 0)
-    if run.status == -1:
-        raise StiffnessError(f"effective integration failed near t={run.t_stop}: {TOO_SMALL_STEP}",
-                             run.t_stop, traj)
-    return traj
+    with np.errstate(over="ignore", invalid="ignore"):  # moments past the float range: inf
+        for q, qd in run.y:
+            g = _adiabatic(q, qd, _qddot(q, qd, config, H, hbar), 2, config, H)
+            rows.append([q, qd, *(from_dimensionless(g[a], a, 2, m, w, hbar) for a in range(3))])
+    return run.trajectory(
+        np.array(rows), ["q", "qdot", "G_0_2", "G_1_2", "G_2_2"], hbar, rtol, atol,
+        "adiabatic breakdown: 1 + U''/(m omega^2) fell to its safety margin",
+        meta={"C2": config.C2, "e": config.e})
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RangeError, StateError, StiffnessError
+from .errors import DomainError, RangeError, StateError
 from .hamiltonian import (
     ClassicalHamiltonian,
     EquationSystem,
@@ -58,7 +58,8 @@ class Trajectory:
 
     ``y`` has one row per sample in the variable order of ``labels``.
     ``complete`` is False when a domain guard (e.g. cosmology p -> 0), an
-    adiabatic breakdown or a step-size collapse stopped the run early.
+    adiabatic breakdown or a step-size collapse stopped the run early;
+    ``stats`` then names the ``stop_cause`` and ``stop`` says it in words.
     """
 
     t: np.ndarray
@@ -75,6 +76,11 @@ class Trajectory:
             len(self.t) > 1 and not (np.all(np.diff(self.t) > 0) or np.all(np.diff(self.t) < 0))
         ):
             raise StateError("time grid must be strictly monotonic")
+
+    @property
+    def stop(self) -> str:
+        """Why and where an incomplete run stopped: '<stop_cause> at t=<t_stop>'."""
+        return f"{self.stats['stop_cause']} at t={self.stats['t_stop']!r}"
 
     def state(self, i: int) -> SemiclassicalState:
         if self.system is None:
@@ -142,7 +148,7 @@ _P = np.array([
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 _EPS = np.finfo(float).eps
-TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+STEP_COLLAPSE = "step-size collapse: required step size is less than spacing between numbers"
 
 
 def _rms(x: np.ndarray) -> np.float64:
@@ -188,6 +194,22 @@ class StepperRun:
     nfev: int
     nsteps: int
     nrejected: int
+
+    def trajectory(self, y, labels, hbar, rtol, atol, event_cause=None, **fields) -> Trajectory:
+        """The run as a Trajectory with samples ``y`` and the stats every run
+        records.  A run that stopped early is incomplete, and its stats name
+        the ``stop_cause``: ``event_cause`` for an event stop, STEP_COLLAPSE
+        for a step-size collapse.  A collapse before the first sample leaves
+        nothing to return and raises DomainError."""
+        stats = {"method": "rk45", "rtol": rtol, "atol": atol, "nfev": self.nfev,
+                 "nsteps": self.nsteps, "nrejected": self.nrejected, "status": self.status,
+                 "t_stop": float(self.t_stop)}
+        if self.status:
+            stats["stop_cause"] = event_cause if self.status == 1 else STEP_COLLAPSE
+        traj = Trajectory(self.t, y, labels, hbar, stats, complete=self.status == 0, **fields)
+        if self.t.size == 0:
+            raise DomainError(traj.stop)
+        return traj
 
 
 def dormand_prince(fun, y0, t_eval, rtol: float, atol: float, event=None) -> StepperRun:
@@ -301,10 +323,10 @@ def integrate(
     """Integrate the moment ODE system from the given initial state with
     ``dormand_prince``, sampled at ``n_samples`` equally spaced times.
 
-    A step-size collapse raises StiffnessError carrying the stop time and
-    the samples reached before it as an incomplete trajectory.  ``stats``
-    records ``t_stop``, where the stepper stopped, and for a run that the
-    cosmology p-guard ended, its ``stop_cause``.
+    A run that the cosmology p-guard or a step-size collapse stops early
+    returns the samples it reached as an incomplete trajectory (see
+    ``StepperRun.trajectory``); a collapse with non-finite samples raises
+    DomainError.
     """
     if rtol <= 0 or atol <= 0:
         raise StateError("tolerances must be positive")
@@ -318,31 +340,22 @@ def integrate(
         raise DomainError(f"non-finite initial state: {', '.join(bad)}")
     t_eval = np.linspace(t_span[0], t_span[1], n_samples)
 
-    p_guard = None
+    p_guard = p_cause = None
     if system.model.kind == "cosmology":
         p_index = system.variables.index("p")
         # stop before p reaches 0, where the p^{-1/2} terms diverge.  From p0 = 1
         # only n_max 2 runs with c0 >= 1 reach this floor: at n_max >= 3, and
-        # for c0 < 0, the step size collapses first (StiffnessError)
+        # for c0 < 0, the step size collapses first
         p_floor = max(1e-12, 1e-6 * abs(y0[p_index]))
+        p_cause = f"cosmology p-guard: p fell to its floor {float(p_floor)!r}"
 
         def p_guard(y):
             return y[p_index] - p_floor
 
     run = dormand_prince(rhs, y0, t_eval, rtol, atol, event=p_guard)
-    stats = {"method": "rk45", "rtol": rtol, "atol": atol, "nfev": run.nfev,
-             "nsteps": run.nsteps, "nrejected": run.nrejected, "status": run.status,
-             "t_stop": float(run.t_stop)}
-    if run.status == 1:
-        stats["stop_cause"] = f"cosmology p-guard: p fell to its floor {float(p_floor)!r}"
-    traj = Trajectory(run.t, run.y, system.labels(), s0.hbar, stats, system=system,
-                      complete=run.status == 0)
-    if run.status == -1:
-        if not np.isfinite(run.y).all():
-            raise DomainError(f"non-finite right-hand side near t={run.t_stop}")
-        raise StiffnessError(f"integration failed near t={run.t_stop}: {TOO_SMALL_STEP}",
-                             run.t_stop, traj)
-    return traj
+    if run.status == -1 and not np.isfinite(run.y).all():
+        raise DomainError(f"non-finite right-hand side near t={run.t_stop}")
+    return run.trajectory(run.y, system.labels(), s0.hbar, rtol, atol, p_cause, system=system)
 
 
 # ---------------------------------------------------------------------------

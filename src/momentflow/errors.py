@@ -25,19 +25,6 @@ class DomainError(MomentflowError, ValueError):
     """Evaluation left the model's physical domain (e.g. p <= 0)."""
 
 
-class StiffnessError(MomentflowError, RuntimeError):
-    """Step-size underflow during integration.
-
-    ``t`` is where the stepper stopped and ``trajectory`` the incomplete
-    trajectory of the samples it reached before that.
-    """
-
-    def __init__(self, message, t, trajectory):
-        super().__init__(message)
-        self.t = t
-        self.trajectory = trajectory
-
-
 class CapacityError(MomentflowError, ValueError):
     """A truncated-basis resource limit was exceeded."""
 

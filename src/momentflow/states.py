@@ -98,8 +98,10 @@ def squeezed_moments(g, n: int, hbar: float) -> np.ndarray:
 
 def squeezed_moment(g, idx: MomentIndex, hbar: float) -> float:
     """Single G(a, n) entry: a p-indices and n-a q-indices of the tensor."""
-    c = _as_squeeze(g).covariance(hbar)
-    return float(gaussian_moment(idx.order - idx.p_power, idx.p_power, c[0, 0], c[0, 1], c[1, 1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # too large: inf or nan, no warning
+        c = _as_squeeze(g).covariance(hbar)
+        return float(gaussian_moment(idx.order - idx.p_power, idx.p_power, c[0, 0], c[0, 1],
+                                     c[1, 1]))
 
 
 def _phase_point(alpha, hbar: float) -> np.ndarray:

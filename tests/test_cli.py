@@ -1,20 +1,26 @@
 """Command-line interface: config handling, subcommands, exit codes, and
 artifact determinism."""
 
+import contextlib
 import csv
 import filecmp
 import hashlib
+import io
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from momentflow import cli
 from momentflow.errors import ConfigError
@@ -166,9 +172,14 @@ def test_help_and_version_exit_0(capsys, argv):
                  "domain error: non-finite effective coefficients", id="adiabatic-huge-delta"),
     # an RHS near the float limit overflows the state within the first steps
     pytest.param("simulate", {"model": "quartic", "delta": 1e300},
-                 "trajectory incomplete: integration failed near t=", id="simulate-huge-delta"),
+                 "trajectory incomplete: step-size collapse: ", id="simulate-huge-delta"),
     pytest.param("compare", {"model": "quartic", "delta": 1e300},
-                 "domain error: integration failed near t=", id="compare-huge-delta"),
+                 "domain error: step-size collapse: ", id="compare-huge-delta"),
+    # the step size collapses before the first sample: nothing to write
+    pytest.param("simulate", {"model": "quartic", "delta": 1e300,
+                              "initial": {"kind": "coherent", "q0": 1e3}},
+                 "domain error: step-size collapse: required step size is less than spacing "
+                 "between numbers at t=0.0\n", id="simulate-collapse-at-t0"),
     pytest.param("simulate", {"initial": {"kind": "squeezed", "g": [[1e3, 0], [0, -1e3]]}},
                  "domain error: non-finite initial state", id="simulate-huge-squeeze"),
     pytest.param("simulate", {"initial": {"kind": "squeezed", "g": [[1e200, 0], [0, 1e200]]}},
@@ -192,6 +203,8 @@ def test_overflow_exits_2(tmp_path, capsys, command, config, words):
     if command == "compare":
         # compare rejects the run before it propagates the oracle
         assert err.count("\n") == 1
+    if words.startswith("domain error: "):
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
@@ -202,6 +215,101 @@ def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
     assert cli.main(["simulate", "--out", str(tmp_path)]) == 5
     err = capsys.readouterr().err
     assert "internal error: RuntimeError: boom" in err and "Traceback" not in err
+
+
+#: finite floats at the edges of the float range, and the signed zeros
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+             1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308)
+_VALUE = st.one_of(st.floats(-4, 4), st.sampled_from(_EXTREMES))
+_FUZZ_MODELS = {"simulate": ("harmonic", "free", "quartic", "cosmology"),
+                "adiabatic": ("quartic", "harmonic"), "compare": ("harmonic", "free", "quartic")}
+#: model constants, each with its values: the keys that must be positive
+#: mostly get magnitudes, so that most runs get past the config rules
+_FUZZ_KEYS = {**dict.fromkeys(("m", "omega", "hbar", "gamma", "kappa", "ell"), _VALUE.map(abs)),
+              **dict.fromkeys(("delta", "E", "g0", "g32", "g3"), _VALUE)}
+
+
+@st.composite
+def _fuzz_case(draw):
+    """A short run of simulate, adiabatic or compare with up to four model
+    constants, the initial state and the time window mutated."""
+    command = draw(st.sampled_from(sorted(_FUZZ_MODELS)))
+    kind = draw(st.sampled_from(["coherent", "squeezed", "moments"])) if command == "simulate" \
+        else "coherent"
+    initial = {"kind": kind, "q0": draw(_VALUE), "p0": draw(_VALUE)}
+    if kind == "squeezed":
+        a, b, c = draw(_VALUE), draw(_VALUE), draw(_VALUE)
+        initial["g"] = [[a, b], [b, c]]
+    elif kind == "moments":
+        initial["values"] = draw(st.dictionaries(st.sampled_from(["G_0_2", "G_1_2", "G_2_2"]),
+                                                 _VALUE, max_size=3))
+    config = {"model": draw(st.sampled_from(_FUZZ_MODELS[command])),
+              "n_max": draw(st.integers(2, 4)), "samples": draw(st.integers(2, 5)), "t1": 0.5,
+              "oracle_dim": draw(st.one_of(st.integers(8, 24), st.sampled_from([-1, 0, 601]))),
+              "initial": initial}
+    for key in draw(st.lists(st.sampled_from(sorted(_FUZZ_KEYS)), max_size=4, unique=True)):
+        config[key] = draw(_FUZZ_KEYS[key])
+    # the window and the tolerances stay moderate: a window of 1e300 or an
+    # atol near 0 (which holds the step size down while a moment grows from
+    # exactly 0) makes a run take minutes without changing how it ends
+    config.update(draw(st.dictionaries(st.sampled_from(["t0", "t1"]), st.one_of(
+        st.floats(-1, 1), st.sampled_from([-0.0, 5e-324, 1e-300])), max_size=2)))
+    config.update(draw(st.dictionaries(st.sampled_from(["rtol", "atol"]),
+                                       st.floats(1e-12, 1e300), max_size=2)))
+    return command, config
+
+
+class _Cut(BaseException):
+    """Ends a fuzzed run that outlives its time limit (not an Exception, so
+    that cli.main does not report it as an internal error)."""
+
+
+def _cut(signum, frame):
+    raise _Cut
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_fuzz_case())
+@example(("simulate", {"model": "quartic", "delta": -5, "t1": 2.0, "samples": 5}))
+@example(("simulate", {"model": "cosmology", "n_max": 2, "t1": 1.0, "samples": 5,
+                       "initial": {"kind": "coherent", "q0": 1.0, "p0": 1.0}}))
+@example(("adiabatic", {"model": "quartic", "delta": -1, "samples": 5,
+                        "initial": {"kind": "coherent", "q0": 1.0, "p0": 1.0}}))
+def test_config_fuzz_keeps_the_exit_code_contract(case):
+    # any finite config exits 0, 2, 3, 4 or 5 without a traceback or a
+    # numpy warning, and a run that wrote a trajectory says in meta.json
+    # whether it stopped early, and why.  integrate has no step budget, so a
+    # finite config whose time scale is near 1e-300 (quartic with m = 1e-300
+    # and p0 = -0.48: a period of about 1e-299) steps for hours; such a run
+    # is cut after 2 s, unjudged
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _cut)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = cli.main([command, "--config", path, "--out", tmp])
+        except _Cut:
+            return
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4, 5), err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+        stem = os.path.join(tmp, "adiabatic" if command == "adiabatic" else "trajectory")
+        if os.path.exists(stem + ".csv"):
+            with open(stem + ".meta.json") as fh:
+                meta = json.load(fh)
+            assert code in (0, 2) and meta["complete"] == (code == 0)
+            assert ("stop_cause" in meta["stats"]) == (code == 2)
 
 
 def test_config_fills_initial_defaults(tmp_path):
@@ -282,7 +390,7 @@ def test_simulate_divergence_writes_partial_on_requested_grid(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "trajectory incomplete" in err and "Traceback" not in err
-    t_stop = float(re.search(r"near t=([0-9.e+-]+):", err)[1])
+    t_stop = float(re.search(r" at t=([0-9.e+-]+)$", err, re.M)[1])
     assert t_stop == pytest.approx(1.7275238, abs=1e-6)
     t = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1, usecols=0)
     grid = np.linspace(0.0, 2 * math.pi, 201)
@@ -290,7 +398,7 @@ def test_simulate_divergence_writes_partial_on_requested_grid(tmp_path, capsys):
     assert np.array_equal(t, grid[:t.size]) and grid[t.size] > t_stop
     meta = json.loads((tmp_path / "trajectory.meta.json").read_text())
     assert meta["complete"] is False and meta["stats"]["status"] == -1
-    assert meta["meta"]["failure"] in err
+    assert meta["stats"]["t_stop"] == t_stop and meta["stats"]["stop_cause"] in err
 
 
 def test_simulate_and_adiabatic_import_no_scipy(tmp_path):
@@ -374,6 +482,31 @@ def test_simulate_cosmology_p_guard_says_when(tmp_path, capsys):
     grid = np.linspace(0.0, 1.0, 201)
     assert 1 < t.size < grid.size and np.array_equal(t, grid[:t.size])
     assert t[-1] <= stats["t_stop"] < grid[t.size]
+
+
+def test_simulate_cosmology_collapse_says_when(tmp_path, capsys):
+    # at n_max 3 the collapse from c0 = -0.5 ends by a step-size collapse at
+    # t = 0.8379, before p reaches the p-guard's floor: the partial CSV holds
+    # the requested samples up to there, and the message and meta.json say
+    # where and why the run stopped, as for an event stop
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t1": 100.0, "initial": {"kind": "coherent", "q0": -0.5,
+                                                        "p0": 1.0}}))
+    assert cli.main(["simulate", "--model", "cosmology", "--nmax", "3", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    meta = json.loads((tmp_path / "trajectory.meta.json").read_text())
+    stats = meta["stats"]
+    assert meta["complete"] is False and stats["status"] == -1
+    assert stats["stop_cause"].startswith("step-size collapse")
+    assert stats["t_stop"] == 0.8379042789536469
+    assert err == f"trajectory incomplete: {stats['stop_cause']} at t={stats['t_stop']!r}\n"
+    t = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1, usecols=0)
+    grid = np.linspace(0.0, 100.0, 201)
+    assert 1 < t.size < grid.size and np.array_equal(t, grid[:t.size])
+    assert t[-1] <= stats["t_stop"] < grid[t.size]
+    assert hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest() == (
+        "5f22e30ab88f48c3275fc3bc43a95ad316ee7dd69993309e758e19e0805c6b61")
 
 
 def test_adiabatic_rejects_free(tmp_path):
