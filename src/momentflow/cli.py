@@ -199,6 +199,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
     init = cfg["initial"] = _apply(schema, cfg["initial"], "initial.")
     if cfg["t1"] == cfg["t0"]:
         raise ConfigError(f"t1 must differ from t0, both are {cfg['t0']!r}")
+    if cfg["model"] != "cosmology" and cfg["m"] * _reference_omega(cfg) == 0:
+        raise ConfigError(f"m * omega underflows to 0 (m = {cfg['m']!r}, omega = {cfg['omega']!r})")
     for label in init.get("values", {}):
         if _moment_index(label).order > cfg["n_max"]:
             raise ConfigError(f"initial.values label {label} exceeds n_max={cfg['n_max']}")
@@ -345,8 +347,9 @@ def cmd_compare(cfg: dict) -> int:
     if cfg["initial"]["kind"] != "coherent":
         raise ConfigError("compare supports coherent initial states")
     q0, p0 = float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"])
-    # an input that overflows the oracle's operators gives a non-finite
-    # initial state, which integrate rejects before any sample is propagated
+    # an input that overflows the displacement's generator is a domain error;
+    # one that overflows the moments gives a non-finite initial state, which
+    # integrate rejects before any sample is propagated
     with np.errstate(over="ignore", invalid="ignore"):
         space, Hop = _oracle_setup(cfg, model)
         vac = np.zeros(space.D, dtype=complex)

@@ -507,7 +507,10 @@ class CosmologyParams:
 
     def x_coord(self, c: float, p: float) -> float:
         self._check(p)
-        return 0.5 * math.log(self.ell * c**2 / math.sqrt(p))
+        arg = self.ell * c**2 / math.sqrt(p)
+        if arg <= 0:  # c = 0 or ell <= 0, or c**2 underflowed
+            raise DomainError(f"cosmology closed forms need ell c^2 / sqrt(p) > 0, got {arg!r}")
+        return 0.5 * math.log(arg)
 
     def _check(self, p: float):
         if p <= 0:

@@ -17,6 +17,15 @@ bracket is a polynomial in the raw expectations <W_{j,k}>, and central
 moments are their binomial shift (``_central_poly``), so no centred
 operator is ever built.
 
+Each ``FockSpace`` also keeps a table for one state, the last one asked
+about (``FockSpace.state_table``): each W psi, <W>, commutator entry and
+``_poly_grad`` result is computed once per state and shared by
+``moments_of`` and ``bracket_oracle``.  The table is keyed by the content
+of psi and holds a private copy of it, so a psi changed in place gets a
+fresh table, never stale values.  Like the RHS that
+``EquationSystem.compile`` returns, a space is not safe to share across
+threads.
+
 Truncation caveat: the top basis levels are polluted by the cutoff, so
 commutator identities hold only on the interior block and states must keep
 their support well below dimension D.  A Weyl operator of order n = j + k
@@ -34,7 +43,7 @@ from itertools import product
 import numpy as np
 from numpy.polynomial import hermite as np_hermite
 
-from .errors import CapacityError, ReconstructionError, StateError
+from .errors import CapacityError, DomainError, ReconstructionError, StateError
 from .moment_algebra import MomentIndex, SemiclassicalState, moment_vars
 
 __all__ = [
@@ -79,6 +88,9 @@ class FockSpace:
     Products of per-mode operators are never formed as D**2 x D**2
     matrices; they are applied mode by mode to the reshaped state, see
     :meth:`apply_modes`.
+
+    Raw Weyl data of a state comes from :meth:`state_table`, which holds
+    one state only; a space is not safe to share across threads.
     """
 
     def __init__(self, D: int, m: float = 1.0, omega: float = 1.0, hbar: float = 1.0, dof: int = 1):
@@ -91,6 +103,7 @@ class FockSpace:
         self.dof = dof
         self.q1, self.p1 = fock_ops(D, m, omega, hbar)
         self._weyl_cache = {(0, 0): np.eye(D, dtype=complex)}
+        self._state: _StateTable | None = None
 
     def weyl(self, j: int, k: int) -> np.ndarray:
         """Single-mode Weyl-ordered q^j p^k from the cached table.
@@ -106,6 +119,21 @@ class FockSpace:
                 if key not in table:
                     table[key] = _jordan_step(table[prev], self.q1 if key[0] else self.p1)
         return table[(j, k)]
+
+    def state_table(self, psi: np.ndarray, keys=()) -> _StateTable:
+        """The raw Weyl table of psi, with W psi and <W> filled in for every
+        W key in ``keys``.  It is keyed by the content of psi (dtype, shape
+        and bytes): any other content replaces it with a fresh table."""
+        psi = np.asarray(psi)
+        key = (psi.dtype.str, psi.shape, psi.tobytes())
+        if self._state is None or self._state.key != key:
+            self._state = _StateTable(key, psi.copy())
+        table = self._state
+        for wk in keys:
+            if wk not in table.applied:
+                table.applied[wk] = self.apply_weyl(wk, table.psi)
+                table.values[wk] = _expect(table.psi, table.applied[wk])
+        return table
 
     def apply_modes(self, mats, psi: np.ndarray) -> np.ndarray:
         """Apply the product of per-mode operators ``mats[f]`` to psi.
@@ -126,6 +154,17 @@ class FockSpace:
         """Apply the product of per-mode Weyl operators, powers[f] = (j_f, k_f)."""
         mats = [None if jk == (0, 0) else self.weyl(*jk) for jk in powers]
         return self.apply_modes(mats, psi)
+
+
+class _StateTable:
+    """Raw Weyl data of one state, each entry computed once: W psi and <W>
+    by W key, commutator entries by ordered pair of W keys, and
+    ``_poly_grad`` results by index.  It refers to no ``FockSpace``, so
+    reference counting alone frees a space."""
+
+    def __init__(self, key, psi: np.ndarray):
+        self.key, self.psi = key, psi
+        self.applied, self.values, self.brackets, self.grads = {}, {}, {}, {}
 
 
 def weyl_op(j: int, k: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -184,7 +223,7 @@ def moments_of(psi: np.ndarray, space: FockSpace, up_to_n: int) -> Semiclassical
     """Classical point and all Weyl-ordered central moments up to order n.
 
     Each raw Weyl operator of the space's cached table is applied to psi
-    once, and each central moment is the binomial shift of the raw
+    once per state, and each central moment is the binomial shift of the raw
     expectations (``_central_poly``).  Exact for a state supported on the
     block [:D - up_to_n], where the order-n operators are exact.
     """
@@ -196,7 +235,8 @@ def moments_of(psi: np.ndarray, space: FockSpace, up_to_n: int) -> Semiclassical
     point = {kind if space.dof == 1 else f"{kind}{f}": _unit(kind, f, space.dof)
              for f in range(space.dof) for kind in "qp"}
     polys = {idx: _central_poly(idx) for idx in moment_vars(up_to_n, space.dof)}
-    _, values = _weyl_values([{(wk,): 1.0 for wk in point.values()}, *polys.values()], psi, space)
+    keys = [*point.values(), *(wk for poly in polys.values() for mono in poly for wk in mono)]
+    values = space.state_table(psi, keys).values
     x = {name: values[wk] for name, wk in point.items()}
     moments = {idx: _poly_value(poly, values) for idx, poly in polys.items()}
     return SemiclassicalState(space.hbar, x, moments, up_to_n)
@@ -240,14 +280,6 @@ def _central_poly(idx: MomentIndex) -> dict[tuple[_WKey, ...], float]:
     return terms
 
 
-def _weyl_values(polys, psi: np.ndarray, space: FockSpace):
-    """Apply each raw Weyl operator the W-polynomials use to psi once;
-    returns the applied vectors and their expectations, both by W key."""
-    needed = {wk for poly in polys for mono in poly for wk in mono}
-    applied = {wk: space.apply_weyl(wk, psi) for wk in needed}
-    return applied, {wk: _expect(psi, vec) for wk, vec in applied.items()}
-
-
 def _poly_value(terms, values) -> float:
     """A W-polynomial evaluated at the raw expectations ``values``."""
     return sum(coeff * math.prod(values[wk] for wk in mono) for mono, coeff in terms.items())
@@ -272,24 +304,29 @@ def bracket_oracle(i1, i2, psi: np.ndarray, space: FockSpace) -> float:
     Uses the chain rule over the raw Weyl expectations W_A: the bracket of
     two expectation-value functions is <[A, B]>/(i hbar), and moment
     functions are polynomials in the W_A.  Accepts classical labels "q"/"p"
-    (or ("q", f)) in place of either index.
+    (or ("q", f)) in place of either index.  Gradients and commutator
+    entries are computed once per state, in the space's table of psi.
     """
-    polys = []
+    table = space.state_table(psi)
+    grads = []
     for idx in (i1, i2):
-        if isinstance(idx, MomentIndex):
-            polys.append(_central_poly(idx))
-        else:
-            kind, f = (idx, 0) if isinstance(idx, str) else idx
-            polys.append({(_unit(kind, f, space.dof),): 1.0})
+        if idx not in table.grads:
+            if isinstance(idx, MomentIndex):
+                poly = _central_poly(idx)
+            else:
+                kind, f = (idx, 0) if isinstance(idx, str) else idx
+                poly = {(_unit(kind, f, space.dof),): 1.0}
+            space.state_table(psi, {wk for mono in poly for wk in mono})
+            table.grads[idx] = _poly_grad(poly, table.values)
+        grads.append(table.grads[idx])
 
-    applied, values = _weyl_values(polys, psi, space)
-    grads = [_poly_grad(poly, values) for poly in polys]
-
-    total = 0.0
+    total, pbs, applied = 0.0, table.brackets, table.applied
     for wa, ga in grads[0].items():
         for wb, gb in grads[1].items():
-            # <[A,B]>/(i hbar) = 2 Im <A psi, B psi> / hbar for Hermitian A, B
-            pb = 2.0 * np.imag(np.vdot(applied[wa], applied[wb])) / space.hbar
+            pb = pbs.get((wa, wb))
+            if pb is None:
+                # <[A,B]>/(i hbar) = 2 Im <A psi, B psi> / hbar for Hermitian A, B
+                pb = pbs[wa, wb] = 2.0 * np.imag(np.vdot(applied[wa], applied[wb])) / space.hbar
             total += ga * gb * pb
     return total
 
@@ -315,7 +352,10 @@ def coherent(alpha: complex, D: int) -> np.ndarray:
 
 
 def _exp_hermitian(H: np.ndarray, s: complex) -> np.ndarray:
-    """exp(s H) for Hermitian H, from its eigendecomposition."""
+    """exp(s H) for Hermitian H, from its eigendecomposition; a generator
+    that overflowed (an inf or nan entry) is a domain error."""
+    if not np.isfinite(H).all():
+        raise DomainError("an input overflowed the oracle's operators: exp(s H) needs a finite H")
     w, V = np.linalg.eigh(H)
     return (V * np.exp(s * w)) @ V.conj().T
 

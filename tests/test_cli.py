@@ -117,6 +117,10 @@ def test_missing_config_file_exits_3(tmp_path):
     (["simulate", "--out", ""], "out"),
     (("order-check", {"model": "harmonic", "omega": 0}), "omega"),
     (("order-check", {"model": "quartic", "omega": 0}), "omega"),
+    # m * omega underflows to 0, which every oscillator length scale divides by
+    ({"model": "quartic", "m": 1e-300, "omega": 1e-300, "delta": 0}, "m * omega"),
+    (("adiabatic", {"model": "quartic", "m": 1e-300, "omega": 1e-300}), "m * omega"),
+    (("compare", {"model": "free", "m": 1e-300, "omega": 1e-300}), "m * omega"),
 ])
 def test_non_integer_config_exits_3(tmp_path, capsys, data, key):
     """Each bad input is named in a config error; a list is a command line,
@@ -184,6 +188,18 @@ def test_help_and_version_exit_0(capsys, argv):
                  "domain error: non-finite initial state", id="simulate-huge-squeeze"),
     pytest.param("simulate", {"initial": {"kind": "squeezed", "g": [[1e200, 0], [0, 1e200]]}},
                  "domain error: non-finite initial state", id="simulate-huge-rotation"),
+    # the displacement's generator overflows: eigh would not converge
+    pytest.param("compare", {"oracle_dim": 16,
+                             "initial": {"kind": "coherent", "q0": -1.7976931348623157e308}},
+                 "domain error: an input overflowed the oracle's operators", id="compare-huge-q0"),
+    pytest.param("compare", {"oracle_dim": 16,
+                             "initial": {"kind": "coherent", "p0": 1.7976931348623157e308}},
+                 "domain error: an input overflowed the oracle's operators", id="compare-huge-p0"),
+    # c = 0 puts log 0 into the cosmology closed forms
+    pytest.param("simulate", {"model": "cosmology",
+                              "initial": {"kind": "coherent", "q0": 0.0, "p0": 1.0}},
+                 "domain error: cosmology closed forms need ell c^2 / sqrt(p) > 0, got 0.0",
+                 id="simulate-cosmology-c0-zero"),
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_exits_2(tmp_path, capsys, command, config, words):
@@ -275,10 +291,24 @@ def _cut(signum, frame):
                        "initial": {"kind": "coherent", "q0": 1.0, "p0": 1.0}}))
 @example(("adiabatic", {"model": "quartic", "delta": -1, "samples": 5,
                         "initial": {"kind": "coherent", "q0": 1.0, "p0": 1.0}}))
+# configs that once ended in an internal error (exit 5): an oracle
+# displacement whose generator overflows, log 0 in the cosmology closed
+# forms, and m * omega underflowing to 0
+@example(("compare", {"oracle_dim": 16, "samples": 5,
+                      "initial": {"kind": "coherent", "q0": 1.7976931348623157e308}}))
+@example(("compare", {"oracle_dim": 16, "samples": 5,
+                      "initial": {"kind": "coherent", "p0": -1.7976931348623157e308}}))
+@example(("simulate", {"model": "cosmology", "samples": 5,
+                       "initial": {"kind": "coherent", "q0": 0.0, "p0": 1.0}}))
+@example(("simulate", {"model": "quartic", "m": 1e-300, "omega": 1e-300, "delta": 0.0}))
+@example(("adiabatic", {"model": "quartic", "m": 1e-300, "omega": 1e-300, "delta": 0.0}))
+@example(("compare", {"model": "quartic", "m": 1e-300, "omega": 1e-300, "delta": 0.0,
+                      "oracle_dim": 16}))
 def test_config_fuzz_keeps_the_exit_code_contract(case):
-    # any finite config exits 0, 2, 3, 4 or 5 without a traceback or a
-    # numpy warning, and a run that wrote a trajectory says in meta.json
-    # whether it stopped early, and why.  integrate has no step budget, so a
+    # any finite config exits 0, 2, 3 or 4 (never 5, an internal error)
+    # without a traceback or a numpy warning, and a run that wrote a
+    # trajectory says in meta.json whether it stopped early, and why.
+    # integrate has no step budget, so a
     # finite config whose time scale is near 1e-300 (quartic with m = 1e-300
     # and p0 = -0.48: a period of about 1e-299) steps for hours; such a run
     # is cut after 2 s, unjudged
@@ -301,7 +331,7 @@ def test_config_fuzz_keeps_the_exit_code_contract(case):
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         err = err.getvalue()
-        assert code in (0, 2, 3, 4, 5), err
+        assert code in (0, 2, 3, 4), err
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
         stem = os.path.join(tmp, "adiabatic" if command == "adiabatic" else "trajectory")

@@ -1,18 +1,29 @@
 """Truncated-basis oracle tests: operator construction, evolution,
 moment extraction, bracket oracle, and Hamburger reconstruction."""
 
+import functools
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import oracle_reference as per_call
 from momentflow import oracle as orc
-from momentflow.errors import CapacityError, ReconstructionError, StateError
-from momentflow.moment_algebra import MomentIndex, check_uncertainty_order2, moment_indices
+from momentflow.errors import CapacityError, DomainError, ReconstructionError, StateError
+from momentflow.moment_algebra import (
+    MomentIndex,
+    bracket_mixed,
+    bracket_moments,
+    check_uncertainty_order2,
+    moment_indices,
+    moment_vars,
+)
 
 
 def G(a, n):
@@ -273,6 +284,117 @@ def test_two_mode_per_mode_application():
     assert abs(orc.bracket_oracle(("q", 0), ("p", 1), psi, space)) < 1e-12
 
 
+def _kron_state(rng, D, support):
+    """An entangled two-mode state, as A1 draws them."""
+    parts = [orc.random_state(rng, D, support=support) for _ in range(4)]
+    psi = np.kron(parts[0], parts[1]) + 0.5 * np.kron(parts[2], parts[3])
+    return psi / np.linalg.norm(psi)
+
+
+def _assert_same_moments(psi, space, order):
+    st, want = orc.moments_of(psi, space, order), per_call.moments_of(psi, space, order)
+    assert (st.hbar, st.n_max, st.x, st.moments) == (want.hbar, want.n_max, want.x, want.moments)
+
+
+def _assert_same_bracket(i1, i2, psi, space):
+    assert orc.bracket_oracle(i1, i2, psi, space) == per_call.bracket_oracle(i1, i2, psi, space)
+
+
+@pytest.mark.filterwarnings("ignore:D=16 is small")
+@pytest.mark.parametrize("dof", [1, 2])
+def test_state_table_equals_per_call_reference(dof):
+    # the per-state table returns the floats that recomputing every Weyl
+    # vector, gradient and commutator entry per call gives, bit for bit:
+    # two states alternating on one space, moments_of before and after
+    # bracket_oracle, and psi changed in place between calls
+    rng = np.random.default_rng(70 + dof)
+    if dof == 1:
+        space, order = orc.FockSpace(60), 6
+        a, b = (orc.random_state(rng, 60, support=20) for _ in range(2))
+        labels = [G(0, 2), G(1, 3), G(2, 4), G(4, 4), "q", ("p", 0)]
+    else:
+        space, order = orc.FockSpace(16, dof=2), 4
+        a, b = (_kron_state(rng, 16, 7) for _ in range(2))
+        labels = [MomentIndex((2, 0), (0, 0)), MomentIndex((1, 0), (0, 1)),
+                  MomentIndex((1, 1), (1, 0)), MomentIndex((0, 0), (0, 3)), "q", ("p", 1)]
+    _assert_same_moments(a, space, order)
+    for i1 in labels:
+        for i2 in labels:
+            for psi in (a, b):
+                _assert_same_bracket(i1, i2, psi, space)
+    for psi in (a, b):
+        _assert_same_moments(psi, space, order)
+
+    psi = a.copy()
+    for step in range(3):
+        for i1, i2 in zip(labels, labels[::-1]):
+            _assert_same_bracket(i1, i2, psi, space)
+        _assert_same_moments(psi, space, 2)
+        psi[step] += 0.25 - 0.5j  # in place: the space must not serve the old table
+
+
+def test_fock_space_is_freed_without_the_cycle_collector(rng):
+    space = orc.FockSpace(20)
+    psi = orc.random_state(rng, 20, support=5)
+    orc.moments_of(psi, space, 2)
+    orc.bracket_oracle(G(0, 2), "p", psi, space)
+    alive = weakref.ref(space)
+    gc.disable()
+    try:
+        del space
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+#: spaces and labels of the bracket property test: every index to order 5
+#: at 1 DOF and to order 3 at 2 DOF, and classical labels
+_PROPERTY_SPACES = {1: orc.FockSpace(80), 2: orc.FockSpace(16, dof=2)}
+_PROPERTY_LABELS = {1: [*moment_vars(5, 1), "q", "p"],
+                    2: [*moment_vars(3, 2), "q", ("p", 1), ("q", 1)]}
+
+
+@functools.lru_cache(maxsize=None)
+def _property_state(dof, seed):
+    """A seeded random state and its moments up to the order its brackets
+    reach.  The 1-DOF support of 10 keeps the order-8 moments of the state
+    modest, so that the oracle's round-off on a bracket that vanishes
+    identically stays below A1's absolute floor of 1e-10."""
+    rng = np.random.default_rng(seed)
+    if dof == 1:
+        psi = orc.random_state(rng, 80, support=10)
+        return psi, orc.moments_of(psi, _PROPERTY_SPACES[1], 8)
+    psi = _kron_state(rng, 16, 7)
+    return psi, orc.moments_of(psi, _PROPERTY_SPACES[2], 4)
+
+
+def _algebra_bracket(i1, i2):
+    if isinstance(i1, MomentIndex) and isinstance(i2, MomentIndex):
+        return bracket_moments(i1, i2)
+    return -bracket_mixed(i2, i1) if isinstance(i1, MomentIndex) else bracket_mixed(i1, i2)
+
+
+@pytest.mark.filterwarnings("ignore:D=16 is small")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2]).flatmap(lambda dof: st.tuples(
+    st.just(dof), st.integers(0, 7),
+    st.sampled_from(_PROPERTY_LABELS[dof]), st.sampled_from(_PROPERTY_LABELS[dof]))))
+@example((1, 0, G(5, 5), G(0, 5)))
+@example((1, 1, G(0, 4), G(0, 5)))
+@example((1, 2, "p", G(2, 5)))
+@example((1, 3, "q", "p"))
+@example((2, 1, ("p", 1), ("q", 1)))
+@example((2, 0, ("p", 1), MomentIndex((0, 1), (2, 0))))
+def test_bracket_moments_matches_oracle_beyond_A1(case):
+    dof, seed, i1, i2 = case
+    psi, state = _property_state(dof, seed)
+    space = _PROPERTY_SPACES[dof]
+    exact = orc.bracket_oracle(i1, i2, psi, space)
+    tol = 1e-10 + 1e-8 * abs(exact) if abs(exact) > 1e-6 else 1e-10
+    assert abs(_algebra_bracket(i1, i2).evaluate(state) - exact) < tol
+    assert abs(orc.bracket_oracle(i2, i1, psi, space) + exact) < tol
+
+
 # -- state factories --------------------------------------------------------
 
 
@@ -321,6 +443,12 @@ def test_exponentials_match_expm(q0, p0, m, w, hbar, gs, a0, a1):
     gen = a0 * (q - x["q"] * np.eye(D)) + a1 * (p - x["p"] * np.eye(D))
     prov = orc.OracleDProvider(psi, space)
     assert dist(prov.D([a0, a1]), np.vdot(psi, expm(gen) @ psi).real) <= 1e-12
+
+
+def test_exponential_of_an_overflowed_generator_is_a_domain_error(space50):
+    # eigh does not converge on an inf or nan matrix; the oracle says why
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="finite"):
+        orc.displacement((1.7976931348623157e308, 0.0), space50)
 
 
 # -- Hamburger reconstruction ----------------------------------------------
