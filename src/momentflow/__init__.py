@@ -23,7 +23,6 @@ from .moment_algebra import (
     SemiclassicalState,
     SymplecticMatrix,
     bracket_general,
-    bracket_mixed,
     bracket_moments,
     check_uncertainty_generating,
     check_uncertainty_order2,

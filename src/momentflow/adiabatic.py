@@ -154,10 +154,11 @@ def effective_coefficients(q: float, config: AdiabaticConfig, H: ClassicalHamilt
     U3 = H.potential.derivative(q, 3)
     U4 = H.potential.derivative(q, 4)
     s3 = (config.C2 / 0.5) ** 3  # C2^3 scaling anchored at the vacuum value
-    m_eff = m + s3 * hbar * U3**2 / (2**5 * m**2 * w**5 * (1 + u) ** 2.5)
-    B = s3 * hbar * (4 * m * w**2 * U3 * U4 * (1 + u) - 5 * U3**3) / (
-        2**7 * m**3 * w**7 * (1 + u) ** 3.5
-    )
+    den_m, den_B = 2**5 * m**2 * w**5 * (1 + u) ** 2.5, 2**7 * m**3 * w**7 * (1 + u) ** 3.5
+    if 0.0 in (den_m, den_B):
+        raise DomainError(f"effective coefficients divide by m^3 omega^7 = 0 (m = {m!r}, omega = {w!r})")
+    m_eff = m + s3 * hbar * U3**2 / den_m
+    B = s3 * hbar * (4 * m * w**2 * U3 * U4 * (1 + u) - 5 * U3**3) / den_B
     F_q = m * w**2 * q + U1 + config.C2 * hbar * U3 / (2 * m * w * math.sqrt(1 + u))
     if not np.isfinite([m_eff, B, F_q]).all():
         raise DomainError(

@@ -39,6 +39,7 @@ __all__ = [
     "coherent_free_constants",
     "CosmologyParams",
     "cosmology_g_solution",
+    "cosmology_moments",
     "cosmology_effective_rhs",
     "cosmology_moment_rates",
     "OrderCheckResult",
@@ -200,7 +201,12 @@ class StepperRun:
         records.  A run that stopped early is incomplete, and its stats name
         the ``stop_cause``: ``event_cause`` for an event stop, STEP_COLLAPSE
         for a step-size collapse.  A collapse before the first sample leaves
-        nothing to return and raises DomainError."""
+        nothing to return, and a sample past the float range is no result:
+        both raise DomainError, the latter naming its first label and t."""
+        bad = np.argwhere(~np.isfinite(y))
+        if bad.size:
+            i, j = bad[0]
+            raise DomainError(f"non-finite {labels[j]} at t={float(self.t[i])!r}")
         stats = {"method": "rk45", "rtol": rtol, "atol": atol, "nfev": self.nfev,
                  "nsteps": self.nsteps, "nrejected": self.nrejected, "status": self.status,
                  "t_stop": float(self.t_stop)}
@@ -325,8 +331,7 @@ def integrate(
 
     A run that the cosmology p-guard or a step-size collapse stops early
     returns the samples it reached as an incomplete trajectory (see
-    ``StepperRun.trajectory``); a collapse with non-finite samples raises
-    DomainError.
+    ``StepperRun.trajectory``); a non-finite sample raises DomainError.
     """
     if rtol <= 0 or atol <= 0:
         raise StateError("tolerances must be positive")
@@ -353,8 +358,6 @@ def integrate(
             return y[p_index] - p_floor
 
     run = dormand_prince(rhs, y0, t_eval, rtol, atol, event=p_guard)
-    if run.status == -1 and not np.isfinite(run.y).all():
-        raise DomainError(f"non-finite right-hand side near t={run.t_stop}")
     return run.trajectory(run.y, system.labels(), s0.hbar, rtol, atol, p_cause, system=system)
 
 
@@ -506,15 +509,16 @@ class CosmologyParams:
         return math.sqrt(self.kappa * self.hbar)
 
     def x_coord(self, c: float, p: float) -> float:
-        self._check(p)
+        return 0.5 * math.log(self._check(c, p))
+
+    def _check(self, c: float, p: float) -> float:
+        """ell c^2 / sqrt(p), which every closed form needs positive."""
+        if p <= 0:
+            raise DomainError("cosmology closed forms need p > 0")
         arg = self.ell * c**2 / math.sqrt(p)
         if arg <= 0:  # c = 0 or ell <= 0, or c**2 underflowed
             raise DomainError(f"cosmology closed forms need ell c^2 / sqrt(p) > 0, got {arg!r}")
-        return 0.5 * math.log(arg)
-
-    def _check(self, p: float):
-        if p <= 0:
-            raise DomainError("cosmology closed forms need p > 0")
+        return arg
 
     def _e3x2(self, c: float, p: float) -> float:
         """e^{3x/2} = (ell c^2 / sqrt(p))^{3/4}, for p > 0."""
@@ -523,12 +527,11 @@ class CosmologyParams:
     def uncertainty_margin(self, c: float, p: float) -> float:
         """LHS - RHS of the n = 2 bound on the g constants; negative means
         the chosen (g0, g32, g3) are unphysical at this phase-space point."""
-        self._check(p)
-        bound = (
-            self.gamma**2
-            * self.ell_P**4
-            / (4 * 81 * self.ell**1.5 * (c**2 * math.sqrt(p)) ** 2.5)
-        )
+        self._check(c, p)
+        denom = 4 * 81 * self.ell**1.5 * (c**2 * math.sqrt(p)) ** 2.5
+        if denom == 0:
+            raise DomainError(f"the n = 2 bound at c = {c!r}, p = {p!r} underflows")
+        bound = self.gamma**2 * self.ell_P**4 / denom
         return 4 * self.g0 * self.g3 - self.g32**2 - bound
 
 

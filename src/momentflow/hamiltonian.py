@@ -381,15 +381,14 @@ def generate_eom(HQ: QuantumHamiltonian, closure: str = "zero") -> EquationSyste
     """
     if closure not in CLOSURES:
         raise ConfigError(f"unknown closure policy {closure!r}")
-    qv, pv = HQ.xvars
-    scale = HQ.model.bracket_scale
+    pairs, scale = (HQ.xvars,), HQ.model.bracket_scale
     mvars = moment_vars(HQ.n_max)
 
     rhs: dict[object, MomentPolynomial] = {}
-    for var in (qv, pv):
-        rhs[var] = bracket_general(MomentPolynomial.x_var(var), HQ.poly, (qv, pv), scale)
+    for var in HQ.xvars:
+        rhs[var] = bracket_general(MomentPolynomial.x_var(var), HQ.poly, pairs, scale)
     for g in mvars:
-        rhs[g] = bracket_general(MomentPolynomial.moment(g), HQ.poly, (qv, pv), scale)
+        rhs[g] = bracket_general(MomentPolynomial.moment(g), HQ.poly, pairs, scale)
 
     # close moments above n_max in one pass per term.  A term holds at most
     # one of them, since the bilinear bracket factors have order <= n_max - 1,
@@ -413,7 +412,7 @@ def generate_eom(HQ: QuantumHamiltonian, closure: str = "zero") -> EquationSyste
                     _accumulate(acc, (h + hc, x, tuple(sorted(rest + gc, key=_SORT_KEY))), cc)
         rhs[var] = MomentPolynomial(acc)
 
-    return EquationSystem((qv, pv), mvars, rhs, HQ.model, HQ.n_max, closure)
+    return EquationSystem(HQ.xvars, mvars, rhs, HQ.model, HQ.n_max, closure)
 
 
 # ---------------------------------------------------------------------------

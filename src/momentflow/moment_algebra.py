@@ -33,12 +33,13 @@ from .errors import RangeError, StateError, UnsupportedProviderError
 
 __all__ = [
     "MomentIndex",
+    "moment_indices",
+    "moment_vars",
     "SymplecticMatrix",
     "MomentPolynomial",
     "SemiclassicalState",
     "kk_coefficient",
     "bracket_moments",
-    "bracket_mixed",
     "bracket_general",
     "gaussian_pairings",
     "gaussian_moment",
@@ -577,61 +578,35 @@ def kk_coefficient(r: int, s: int, e, a, b, c, d) -> Fraction:
     return total
 
 
-def bracket_mixed(x_label, i2) -> MomentPolynomial:
-    """Bracket of a classical coordinate with a moment or another coordinate.
-
-    {x^i, G} = 0 identically; {q, p} = 1 for each canonical pair.
-    Labels are "q"/"p" for one DOF, or ("q", f)/("p", f) for several.
-    """
-    if isinstance(i2, MomentIndex):
-        return MomentPolynomial.zero()
-    k1, f1 = _coord(x_label)
-    k2, f2 = _coord(i2)
-    if f1 == f2 and (k1, k2) == ("q", "p"):
-        return MomentPolynomial.constant(Fraction(1))
-    if f1 == f2 and (k1, k2) == ("p", "q"):
-        return MomentPolynomial.constant(Fraction(-1))
-    return MomentPolynomial.zero()
-
-
-def _coord(label):
-    if isinstance(label, tuple):
-        kind, f = label
-    else:
-        kind, f = label, 0
-    if kind not in ("q", "p"):
-        raise RangeError(f"unknown classical coordinate {label!r}")
-    return kind, f
-
-
 def bracket_general(
     P: MomentPolynomial,
     Q: MomentPolynomial,
-    xvars: tuple[str, str] = ("q", "p"),
+    pairs: Iterable[tuple[str, str]] = (("q", "p"),),
     scale: _CoeffT = Fraction(1),
 ) -> MomentPolynomial:
-    """Leibniz extension of the basic brackets to polynomials (one DOF).
+    """Leibniz extension of the basic brackets to polynomials.
 
-    ``xvars`` names the canonical pair, with {xvars[0], xvars[1]} = scale
-    (e.g. ("c", "p") with scale gamma*kappa/3 for the cosmology model).
-    Classical coefficients bracket through partial derivatives; moment
-    factors bracket pairwise through :func:`bracket_moments` and commute
-    with all classical variables.
+    ``pairs`` lists the canonical pairs, {q_f, p_g} = scale delta_fg:
+    ("q", "p") at one DOF, ("q0", "p0") and ("q1", "p1") at two, or
+    ("c", "p") with scale gamma*kappa/3 for the cosmology model.  Classical
+    coefficients bracket through partial derivatives, summed over the pairs;
+    moment factors bracket pairwise through :func:`bracket_moments` and
+    commute with every classical coordinate.
 
-    The classical part comes first; then, for each pair of terms of P and Q
-    in sorted order and each pair of their moment factors, the other factors
-    times each term of the moment bracket add straight into one
-    ``(hbar power, x monomial, sorted moments) -> coeff`` dict, coefficient
-    ``cP * cQ * c``.  Order and arithmetic are those of
+    The classical part comes first, pair by pair; then, for each pair of
+    terms of P and Q in sorted order and each pair of their moment factors,
+    the other factors times each term of the moment bracket add straight
+    into one ``(hbar power, x monomial, sorted moments) -> coeff`` dict,
+    coefficient ``cP * cQ * c``.  Order and arithmetic are those of
     ``MomentPolynomial.sum`` over the products ``term * bracket_moments``.
     """
-    qv, pv = xvars
-    # a product with an empty factor is empty, so Q's partials are taken
-    # only where P's are not
-    dPq, dPp = P.diff_x(qv), P.diff_x(pv)
-    zero = MomentPolynomial()
-    classical = scale * ((dPq * Q.diff_x(pv) if dPq else zero) - (dPp * Q.diff_x(qv) if dPp else zero))
-    acc = dict(classical._terms)
+    zero, acc = MomentPolynomial(), {}
+    for qv, pv in pairs:
+        # a product with an empty factor is empty: take Q's partials only where P's are not
+        dPq, dPp = P.diff_x(qv), P.diff_x(pv)
+        classical = scale * ((dPq * Q.diff_x(pv) if dPq else zero) - (dPp * Q.diff_x(qv) if dPp else zero))
+        for key, c in classical._terms.items():
+            _accumulate(acc, key, c)
     P_moments = [t for t in P.terms() if t[3]]
     Q_moments = [t for t in Q.terms() if t[3]]
     for cP, hP, xP, gP in P_moments:

@@ -3,7 +3,8 @@
 Serves as the independent ground truth for the moment algebra and for the
 truncated dynamics: dense operator matrices, eigendecomposition-based time
 evolution, Weyl-ordered moment extraction, a commutator-based bracket
-oracle, and moment-sequence reconstruction of wave functions.
+oracle, exact Heisenberg rates, and moment-sequence reconstruction of
+wave functions.
 
 Every exponential here is exp(s H) with H Hermitian (time evolution,
 displacement, squeeze, characteristic function), computed stably from
@@ -19,10 +20,10 @@ operator is ever built.
 
 Each ``FockSpace`` also keeps a table for one state, the last one asked
 about (``FockSpace.state_table``): each W psi, <W>, commutator entry and
-``_poly_grad`` result is computed once per state and shared by
-``moments_of`` and ``bracket_oracle``.  The table is keyed by the content
-of psi and holds a private copy of it, so a psi changed in place gets a
-fresh table, never stale values.  Like the RHS that
+``_poly_grad`` result is computed once per state, and ``moments_of``,
+``bracket_oracle`` and ``rates_of`` share it.  The table is keyed by the
+content of psi and holds a private copy of it, so a psi changed in place
+gets a fresh table, never stale values.  Like the RHS that
 ``EquationSystem.compile`` returns, a space is not safe to share across
 threads.
 
@@ -43,7 +44,7 @@ from itertools import product
 import numpy as np
 from numpy.polynomial import hermite as np_hermite
 
-from .errors import CapacityError, DomainError, ReconstructionError, StateError
+from .errors import CapacityError, DomainError, RangeError, ReconstructionError, StateError
 from .moment_algebra import MomentIndex, SemiclassicalState, moment_vars
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "Propagator",
     "moments_of",
     "bracket_oracle",
+    "rates_of",
     "coherent",
     "squeezed",
     "random_state",
@@ -232,8 +234,7 @@ def moments_of(psi: np.ndarray, space: FockSpace, up_to_n: int) -> Semiclassical
             f"D={space.D} is small for moment order {up_to_n}; "
             "truncation may bite", stacklevel=2
         )
-    point = {kind if space.dof == 1 else f"{kind}{f}": _unit(kind, f, space.dof)
-             for f in range(space.dof) for kind in "qp"}
+    point = _coordinates(space.dof)
     polys = {idx: _central_poly(idx) for idx in moment_vars(up_to_n, space.dof)}
     keys = [*point.values(), *(wk for poly in polys.values() for mono in poly for wk in mono)]
     values = space.state_table(psi, keys).values
@@ -249,10 +250,12 @@ def moments_of(psi: np.ndarray, space: FockSpace, up_to_n: int) -> Semiclassical
 _WKey = tuple[tuple[int, int], ...]
 
 
-def _unit(kind: str, f: int, dof: int) -> _WKey:
-    """W key of the coordinate q_f (kind "q") or p_f (kind "p")."""
-    power = (1, 0) if kind == "q" else (0, 1)
-    return tuple(power if g == f else (0, 0) for g in range(dof))
+@lru_cache(maxsize=None)
+def _coordinates(dof: int) -> dict[str, _WKey]:
+    """W key of each classical coordinate by name, in the order q0, p0, q1, p1
+    ("q", "p" at one DOF): a unit power on its mode.  Cached; do not modify."""
+    return {kind if dof == 1 else f"{kind}{f}": tuple(power if g == f else (0, 0) for g in range(dof))
+            for f in range(dof) for kind, power in (("q", (1, 0)), ("p", (0, 1)))}
 
 
 @lru_cache(maxsize=None)
@@ -264,14 +267,14 @@ def _central_poly(idx: MomentIndex) -> dict[tuple[_WKey, ...], float]:
     tuple of W keys (a monomial) to its coefficient; cached per index, so
     callers must not modify it.
     """
-    N = idx.dof
+    units = [*_coordinates(idx.dof).values()]  # q_f at 2f, p_f at 2f + 1
     terms: dict[tuple[_WKey, ...], float] = {}
     for rs in product(*(range(j + 1) for j in idx.q_powers)):
         for ss in product(*(range(k + 1) for k in idx.p_powers)):
             coeff, factors = 1.0, []
             for f, (j, k, r, s) in enumerate(zip(idx.q_powers, idx.p_powers, rs, ss)):
                 coeff *= math.comb(j, r) * math.comb(k, s) * (-1) ** (j - r + k - s)
-                factors += [_unit("q", f, N)] * (j - r) + [_unit("p", f, N)] * (k - s)
+                factors += [units[2 * f]] * (j - r) + [units[2 * f + 1]] * (k - s)
             wkey = tuple(zip(rs, ss))
             if any(r + s for r, s in wkey):
                 factors.append(wkey)
@@ -303,9 +306,10 @@ def bracket_oracle(i1, i2, psi: np.ndarray, space: FockSpace) -> float:
 
     Uses the chain rule over the raw Weyl expectations W_A: the bracket of
     two expectation-value functions is <[A, B]>/(i hbar), and moment
-    functions are polynomials in the W_A.  Accepts classical labels "q"/"p"
-    (or ("q", f)) in place of either index.  Gradients and commutator
-    entries are computed once per state, in the space's table of psi.
+    functions are polynomials in the W_A.  Either index may instead name a
+    classical coordinate as ``moments_of`` does, "q"/"p" at one DOF and
+    "q0".."p1" at two; any other name raises RangeError.  Gradients and
+    commutator entries are computed once per state, in the space's table.
     """
     table = space.state_table(psi)
     grads = []
@@ -313,9 +317,10 @@ def bracket_oracle(i1, i2, psi: np.ndarray, space: FockSpace) -> float:
         if idx not in table.grads:
             if isinstance(idx, MomentIndex):
                 poly = _central_poly(idx)
+            elif (wk := _coordinates(space.dof).get(idx)) is not None:
+                poly = {(wk,): 1.0}
             else:
-                kind, f = (idx, 0) if isinstance(idx, str) else idx
-                poly = {(_unit(kind, f, space.dof),): 1.0}
+                raise RangeError(f"{idx!r} names no classical coordinate of a {space.dof}-DOF space")
             space.state_table(psi, {wk for mono in poly for wk in mono})
             table.grads[idx] = _poly_grad(poly, table.values)
         grads.append(table.grads[idx])
@@ -329,6 +334,22 @@ def bracket_oracle(i1, i2, psi: np.ndarray, space: FockSpace) -> float:
                 pb = pbs[wa, wb] = 2.0 * np.imag(np.vdot(applied[wa], applied[wb])) / space.hbar
             total += ga * gb * pb
     return total
+
+
+def rates_of(psi: np.ndarray, space: FockSpace, H_op: np.ndarray, n_max: int) -> dict:
+    """Exact Heisenberg rates on psi under the Hamiltonian matrix ``H_op``,
+    keyed like the state of ``moments_of`` to order n_max: d<W>/dt =
+    (i/hbar) <[H, W]> = -(2/hbar) Im <H psi, W psi> for each raw W, with
+    W psi from the space's table of psi, and the chain rule through
+    ``_central_poly`` for each central moment."""
+    polys = {name: {(wk,): 1.0} for name, wk in _coordinates(space.dof).items()}
+    polys.update((idx, _central_poly(idx)) for idx in moment_vars(n_max, space.dof))
+    keys = {wk for poly in polys.values() for mono in poly for wk in mono}
+    table = space.state_table(psi, keys)
+    h_psi = H_op @ table.psi
+    raw = {wk: -2.0 * np.imag(np.vdot(h_psi, table.applied[wk])) / space.hbar for wk in keys}
+    return {label: sum(g * raw[wk] for wk, g in _poly_grad(poly, table.values).items())
+            for label, poly in polys.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 
 from momentflow.moment_algebra import MomentIndex, SemiclassicalState, moment_vars
-from momentflow.oracle import _central_poly, _poly_grad, _poly_value, _unit
+from momentflow.oracle import _central_poly, _coordinates, _poly_grad, _poly_value
 
 
 def weyl_values(polys, psi, space):
@@ -24,8 +24,7 @@ def moments_of(psi, space, up_to_n):
     if space.D < 10 * up_to_n:
         warnings.warn(f"D={space.D} is small for moment order {up_to_n}; "
                       "truncation may bite", stacklevel=2)
-    point = {kind if space.dof == 1 else f"{kind}{f}": _unit(kind, f, space.dof)
-             for f in range(space.dof) for kind in "qp"}
+    point = _coordinates(space.dof)
     polys = {idx: _central_poly(idx) for idx in moment_vars(up_to_n, space.dof)}
     _, values = weyl_values([{(wk,): 1.0 for wk in point.values()}, *polys.values()], psi, space)
     x = {name: values[wk] for name, wk in point.items()}
@@ -39,8 +38,7 @@ def bracket_oracle(i1, i2, psi, space):
         if isinstance(idx, MomentIndex):
             polys.append(_central_poly(idx))
         else:
-            kind, f = (idx, 0) if isinstance(idx, str) else idx
-            polys.append({(_unit(kind, f, space.dof),): 1.0})
+            polys.append({(_coordinates(space.dof)[idx],): 1.0})
     applied, values = weyl_values(polys, psi, space)
     grads = [_poly_grad(poly, values) for poly in polys]
     total = 0.0

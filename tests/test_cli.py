@@ -304,10 +304,17 @@ def _cut(signum, frame):
 @example(("adiabatic", {"model": "quartic", "m": 1e-300, "omega": 1e-300, "delta": 0.0}))
 @example(("compare", {"model": "quartic", "m": 1e-300, "omega": 1e-300, "delta": 0.0,
                       "oracle_dim": 16}))
+# an adiabatic run whose n = 2 moments overflow once wrote inf with exit 0,
+# and one whose m^3 omega^7 underflows once divided by zero (exit 5)
+@example(("adiabatic", {"model": "quartic", "hbar": 1.79e308, "t1": 5e-173, "samples": 5,
+                        "initial": {"kind": "coherent", "q0": -0.8}}))
+@example(("adiabatic", {"model": "harmonic", "m": 7.556120924301621e-129, "samples": 2,
+                        "initial": {"kind": "coherent", "q0": 0.0, "p0": 0.0}}))
 def test_config_fuzz_keeps_the_exit_code_contract(case):
     # any finite config exits 0, 2, 3 or 4 (never 5, an internal error)
     # without a traceback or a numpy warning, and a run that wrote a
-    # trajectory says in meta.json whether it stopped early, and why.
+    # trajectory says in meta.json whether it stopped early, and why; a
+    # complete one holds only finite numbers.
     # integrate has no step budget, so a
     # finite config whose time scale is near 1e-300 (quartic with m = 1e-300
     # and p0 = -0.48: a period of about 1e-299) steps for hours; such a run
@@ -340,6 +347,10 @@ def test_config_fuzz_keeps_the_exit_code_contract(case):
                 meta = json.load(fh)
             assert code in (0, 2) and meta["complete"] == (code == 0)
             assert ("stop_cause" in meta["stats"]) == (code == 2)
+            if code == 0:
+                with open(stem + ".csv") as fh:
+                    rows = list(csv.reader(fh))[1:]
+                assert all(math.isfinite(float(v)) for row in rows for v in row), rows
 
 
 def test_config_fills_initial_defaults(tmp_path):

@@ -348,6 +348,18 @@ def test_cosmology_uncertainty_margin_sign():
     assert bad.uncertainty_margin(0.5, 1.0) < 0
 
 
+def test_cosmology_uncertainty_margin_rejects_c_zero():
+    # the bound divides by (c^2 sqrt(p))^2.5: c = 0 (once a ZeroDivisionError)
+    # and ell <= 0 are the DomainError of x_coord, and a tiny c whose power
+    # underflows is one too
+    params = dyn.CosmologyParams(g0=1.0, g3=1.0)
+    for c, p in [(0.0, 1.0), (-0.0, 2.0), (1e-70, 1.0)]:
+        with pytest.raises(DomainError):
+            params.uncertainty_margin(c, p)
+    with pytest.raises(DomainError, match="ell c"):
+        dyn.CosmologyParams(ell=-1.0).uncertainty_margin(0.5, 1.0)
+
+
 def test_cosmology_series_vs_direct_half_factor():
     params = dyn.CosmologyParams(g0=0.02, g32=0.005, g3=0.01, hbar=1e-3)
     c, p = -0.3, 2.0

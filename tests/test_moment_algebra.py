@@ -22,7 +22,6 @@ from momentflow.moment_algebra import (
     SemiclassicalState,
     SymplecticMatrix,
     bracket_general,
-    bracket_mixed,
     bracket_moments,
     check_uncertainty_generating,
     check_uncertainty_order2,
@@ -169,12 +168,23 @@ def test_bracket_requires_order_two():
         bracket_moments(MomentIndex((1,), (0,)), G(0, 2))
 
 
-def test_bracket_mixed():
-    one = MomentPolynomial.constant(1)
-    assert bracket_mixed("q", "p") == one
-    assert bracket_mixed("p", "q") == MomentPolynomial.constant(-1)
-    assert bracket_mixed("p", "p") == MomentPolynomial.zero()
-    assert bracket_mixed("q", G(1, 3)) == MomentPolynomial.zero()
+def test_bracket_general_over_canonical_pairs():
+    # {q_f, p_g} = delta_fg, and every moment commutes with every coordinate
+    x = MomentPolynomial.x_var
+    assert bracket_general(x("q"), x("p")) == MomentPolynomial.constant(1)
+    assert bracket_general(x("p"), x("q")) == MomentPolynomial.constant(-1)
+    assert bracket_general(x("p"), x("p")) == MomentPolynomial.zero()
+    assert bracket_general(x("q"), MomentPolynomial.moment(G(1, 3))) == MomentPolynomial.zero()
+    pairs = (("q0", "p0"), ("q1", "p1"))
+    names = [name for pair in pairs for name in pair]
+    moments = [MomentIndex((1, 1), (0, 1)), MomentIndex((0, 2), (1, 0)), MomentIndex((1, 0), (0, 1))]
+    for a in names:
+        for b in names:
+            delta = 1 if (a, b) in pairs else -1 if (b, a) in pairs else 0
+            assert bracket_general(x(a), x(b), pairs) == MomentPolynomial.constant(delta)
+        for g in map(MomentPolynomial.moment, moments):
+            assert bracket_general(x(a), g, pairs) == MomentPolynomial.zero()
+            assert bracket_general(g, x(a), pairs) == MomentPolynomial.zero()
 
 
 def test_bracket_general_leibniz():

@@ -5,6 +5,7 @@ import functools
 import gc
 import itertools
 import math
+import re
 import weakref
 
 import numpy as np
@@ -15,10 +16,18 @@ from scipy.linalg import expm
 
 import oracle_reference as per_call
 from momentflow import oracle as orc
-from momentflow.errors import CapacityError, DomainError, ReconstructionError, StateError
+from momentflow.errors import CapacityError, DomainError, RangeError, ReconstructionError, StateError
+from momentflow.hamiltonian import (
+    CLOSURES,
+    ClassicalHamiltonian,
+    PotentialSpec,
+    expand_quantum_hamiltonian,
+    generate_eom,
+)
 from momentflow.moment_algebra import (
     MomentIndex,
-    bracket_mixed,
+    MomentPolynomial,
+    bracket_general,
     bracket_moments,
     check_uncertainty_order2,
     moment_indices,
@@ -279,9 +288,26 @@ def test_two_mode_per_mode_application():
     ref = np.kron(qc, pc) @ psi  # G with q-power 1 on mode 0, p-power 1 on mode 1
     assert np.isclose(st.moment(MomentIndex((1, 0), (0, 1))), (psi.conj() @ ref).real)
 
-    assert np.isclose(orc.bracket_oracle(("q", 0), ("p", 0), psi, space), 1.0)
-    assert np.isclose(orc.bracket_oracle(("q", 1), ("p", 1), psi, space), 1.0)
-    assert abs(orc.bracket_oracle(("q", 0), ("p", 1), psi, space)) < 1e-12
+    assert np.isclose(orc.bracket_oracle("q0", "p0", psi, space), 1.0)
+    assert np.isclose(orc.bracket_oracle("q1", "p1", psi, space), 1.0)
+    assert abs(orc.bracket_oracle("q0", "p1", psi, space)) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:D=16 is small")
+def test_bracket_oracle_reads_the_coordinate_names(rng):
+    # each classical coordinate has one name, the one moments_of writes:
+    # "q1" is mode 1's position, and a name of no coordinate is an error
+    # (once "q1" read as mode 0 and any name but "q" as a momentum)
+    space = orc.FockSpace(16, dof=2)
+    psi = _kron_state(rng, 16, 7)
+    assert set(orc.moments_of(psi, space, 2).x) == {"q0", "p0", "q1", "p1"}
+    assert np.isclose(orc.bracket_oracle("q1", "p1", psi, space), 1.0)
+    assert np.isclose(orc.bracket_oracle("p1", "q1", psi, space), -1.0)
+    for bad in ("x", "q", ("q", 0)):
+        with pytest.raises(RangeError, match=re.escape(repr(bad))):
+            orc.bracket_oracle(bad, "q0", psi, space)
+    with pytest.raises(RangeError, match="'q0'"):
+        orc.bracket_oracle(G(0, 2), "q0", orc.random_state(rng, 20, support=5), orc.FockSpace(20))
 
 
 def _kron_state(rng, D, support):
@@ -311,12 +337,12 @@ def test_state_table_equals_per_call_reference(dof):
     if dof == 1:
         space, order = orc.FockSpace(60), 6
         a, b = (orc.random_state(rng, 60, support=20) for _ in range(2))
-        labels = [G(0, 2), G(1, 3), G(2, 4), G(4, 4), "q", ("p", 0)]
+        labels = [G(0, 2), G(1, 3), G(2, 4), G(4, 4), "q", "p"]
     else:
         space, order = orc.FockSpace(16, dof=2), 4
         a, b = (_kron_state(rng, 16, 7) for _ in range(2))
         labels = [MomentIndex((2, 0), (0, 0)), MomentIndex((1, 0), (0, 1)),
-                  MomentIndex((1, 1), (1, 0)), MomentIndex((0, 0), (0, 3)), "q", ("p", 1)]
+                  MomentIndex((1, 1), (1, 0)), MomentIndex((0, 0), (0, 3)), "q0", "p1"]
     _assert_same_moments(a, space, order)
     for i1 in labels:
         for i2 in labels:
@@ -351,7 +377,9 @@ def test_fock_space_is_freed_without_the_cycle_collector(rng):
 #: at 1 DOF and to order 3 at 2 DOF, and classical labels
 _PROPERTY_SPACES = {1: orc.FockSpace(80), 2: orc.FockSpace(16, dof=2)}
 _PROPERTY_LABELS = {1: [*moment_vars(5, 1), "q", "p"],
-                    2: [*moment_vars(3, 2), "q", ("p", 1), ("q", 1)]}
+                    2: [*moment_vars(3, 2), "q0", "p1", "q1"]}
+#: the canonical pairs of the classical labels, by DOF
+_PROPERTY_PAIRS = {1: (("q", "p"),), 2: (("q0", "p0"), ("q1", "p1"))}
 
 
 @functools.lru_cache(maxsize=None)
@@ -368,10 +396,12 @@ def _property_state(dof, seed):
     return psi, orc.moments_of(psi, _PROPERTY_SPACES[2], 4)
 
 
-def _algebra_bracket(i1, i2):
+def _algebra_bracket(dof, i1, i2):
     if isinstance(i1, MomentIndex) and isinstance(i2, MomentIndex):
         return bracket_moments(i1, i2)
-    return -bracket_mixed(i2, i1) if isinstance(i1, MomentIndex) else bracket_mixed(i1, i2)
+    P, Q = (MomentPolynomial.moment(i) if isinstance(i, MomentIndex) else MomentPolynomial.x_var(i)
+            for i in (i1, i2))
+    return bracket_general(P, Q, _PROPERTY_PAIRS[dof])
 
 
 @pytest.mark.filterwarnings("ignore:D=16 is small")
@@ -383,16 +413,91 @@ def _algebra_bracket(i1, i2):
 @example((1, 1, G(0, 4), G(0, 5)))
 @example((1, 2, "p", G(2, 5)))
 @example((1, 3, "q", "p"))
-@example((2, 1, ("p", 1), ("q", 1)))
-@example((2, 0, ("p", 1), MomentIndex((0, 1), (2, 0))))
+@example((2, 1, "p1", "q1"))
+@example((2, 0, "p1", MomentIndex((0, 1), (2, 0))))
 def test_bracket_moments_matches_oracle_beyond_A1(case):
     dof, seed, i1, i2 = case
     psi, state = _property_state(dof, seed)
     space = _PROPERTY_SPACES[dof]
     exact = orc.bracket_oracle(i1, i2, psi, space)
     tol = 1e-10 + 1e-8 * abs(exact) if abs(exact) > 1e-6 else 1e-10
-    assert abs(_algebra_bracket(i1, i2).evaluate(state) - exact) < tol
+    assert abs(_algebra_bracket(dof, i1, i2).evaluate(state) - exact) < tol
     assert abs(orc.bracket_oracle(i2, i1, psi, space) + exact) < tol
+
+
+#: polynomial potentials U(q) = sum c_k q^k on top of the harmonic part,
+#: and the degree d of H: the equation of an order-n variable holds no
+#: moment above n + d - 2, so orders n <= n_max - d + 2 are closure free
+_RATE_POTENTIALS = {"harmonic": ([0.0], 2), "quartic": ([0.0, 0.0, 0.0, 0.0, 0.3 / 24], 4),
+                    "cubic+quartic": ([0.0, 0.0, 0.0, 0.1, 0.05], 4),
+                    "sextic": ([0.0, 0.0, 0.0, 0.0, 0.02, 0.0, 0.01], 6)}
+_RATE_D = 60
+
+
+@functools.lru_cache(maxsize=None)
+def _rate_space(name, hbar):
+    """The Fock space at hbar and the Hamiltonian matrix of a potential."""
+    space = orc.FockSpace(_RATE_D, hbar=hbar)
+    q, p = space.q1, space.p1
+    H = p @ p / 2 + q @ q / 2
+    for k, c in enumerate(_RATE_POTENTIALS[name][0]):
+        if c:
+            H = H + c * np.linalg.matrix_power(q, k)
+    return space, H
+
+
+@functools.lru_cache(maxsize=None)
+def _rate_system(name, n_max, closure):
+    model = ClassicalHamiltonian(potential=PotentialSpec(coefficients=_RATE_POTENTIALS[name][0]))
+    return generate_eom(expand_quantum_hamiltonian(model, n_max), closure)
+
+
+@st.composite
+def _rate_case(draw):
+    name = draw(st.sampled_from(sorted(_RATE_POTENTIALS)))
+    d = _RATE_POTENTIALS[name][1]
+    n_max = draw(st.integers(d, 10))
+    # a random state leaves n_max + d + a few levels free; a squeezed one is Gaussian
+    state = draw(st.one_of(st.integers(4, _RATE_D - n_max - d - 2),
+                           st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+                                     st.floats(-0.8, 0.8), st.floats(-0.8, 0.8))))
+    return (name, n_max, draw(st.sampled_from(CLOSURES)), draw(st.sampled_from([0.6, 1.0, 1.7])),
+            state, draw(st.integers(0, 99)))
+
+
+@pytest.mark.filterwarnings("ignore:D=60 is small")
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(_rate_case())
+@example(("sextic", 10, "gaussian-factorize", 1.7, (0.2, -0.1, 0.3, 0.5, -0.4), 0))
+@example(("quartic", 8, "zero", 0.6, 30, 1))
+@example(("cubic+quartic", 6, "gaussian-factorize", 1.7, 12, 2))
+def test_generated_equations_are_the_exact_heisenberg_rates(case):
+    # the paper's central claim: for a polynomial H of degree d, the H_Q flow
+    # of every order n <= n_max - d + 2 is the exact Heisenberg rate under
+    # either closure, at any state.  At a Gaussian state the Gaussian closure
+    # is exact, so there every order is.  Elsewhere a higher order must
+    # differ, or the comparison would show nothing
+    name, n_max, closure, hbar, state, seed = case
+    space, H = _rate_space(name, hbar)
+    if isinstance(state, int):
+        psi, gaussian = orc.random_state(np.random.default_rng(seed), _RATE_D, support=state), False
+    else:
+        a, b, c, q0, p0 = state
+        psi, gaussian = orc.squeezed(np.array([[a, b], [b, c]]), (q0, p0), space), True
+    system = _rate_system(name, n_max, closure)
+    y = system.pack(orc.moments_of(psi, space, n_max))
+    got = dict(zip(system.variables, system.compile(hbar)(y)))
+    exact = orc.rates_of(psi, space, H, n_max)
+    assert set(exact) == set(got)
+    top = n_max if gaussian and closure == "gaussian-factorize" else n_max - _RATE_POTENTIALS[name][1] + 2
+    off = {}
+    for var, rate in exact.items():
+        order = 1 if isinstance(var, str) else var.order
+        off[var] = abs(got[var] - rate) / max(1.0, abs(rate))
+        if order <= top:
+            assert off[var] < 1e-10, (var, got[var], rate)
+    if top < n_max:
+        assert max(off.values()) > 1e-6
 
 
 # -- state factories --------------------------------------------------------
