@@ -258,7 +258,7 @@ class AdiabaticEmbedding:
             n, a = idx.order, idx.p_power
             val = n2[a] if n == 2 else g0_moments(q, n, a, cfg, H)
             moments[idx] = from_dimensionless(val, a, n, m, w, hbar)
-        return SemiclassicalState(hbar, {"q": q, "p": p}, moments, n_top, H.potential)
+        return SemiclassicalState(hbar, {"q": q, "p": p}, moments, n_top)
 
     def flow(self, q: float, p: float, hbar: float, n_top: int) -> np.ndarray:
         H, cfg = self.model, self.config

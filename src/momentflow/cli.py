@@ -256,8 +256,7 @@ def initial_state(cfg: dict, model: ClassicalHamiltonian) -> SemiclassicalState:
     else:
         moments = dict.fromkeys(moment_vars(n_max), 0.0)
         moments.update((_moment_index(lbl), float(val)) for lbl, val in init["values"].items())
-    pot = model.potential if model.kind == "oscillator" else None
-    return SemiclassicalState(hbar, {"q": q0, "p": p0}, moments, n_max, pot)
+    return SemiclassicalState(hbar, {"q": q0, "p": p0}, moments, n_max)
 
 
 def _write_trajectory(traj, cfg: dict, stem: str) -> list[str]:
@@ -331,10 +330,9 @@ def _oracle_setup(cfg: dict, model: ClassicalHamiltonian):
     Hop = space.p1 @ space.p1 / (2 * m)
     if model.omega > 0:
         Hop = Hop + 0.5 * m * model.omega**2 * space.q1 @ space.q1
-    if model.potential.coefficients:
-        for k, ck in enumerate(model.potential.coefficients):
-            if ck:
-                Hop = Hop + ck * np.linalg.matrix_power(space.q1, k)
+    for k, ck in enumerate(model.potential.coefficients):
+        if ck:
+            Hop = Hop + ck * np.linalg.matrix_power(space.q1, k)
     return space, Hop
 
 
@@ -423,6 +421,9 @@ def cmd_uncertainty(cfg: dict, state_path: str) -> int:
     hbar = float(data["hbar"])
     x = {k: float(v) for k, v in data["x"].items()}
     moments = {_moment_index(lbl): float(v) for lbl, v in data["moments"].items()}
+    missing = [idx.column_label() for idx in moment_vars(2) if idx not in moments]
+    if missing:
+        raise ConfigError(f"state.moments needs {', '.join(missing)}")
     n_max = max((idx.order for idx in moments), default=2)
     state = SemiclassicalState(hbar, x, moments, n_max)
     margin = check_uncertainty_order2(state)

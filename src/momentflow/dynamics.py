@@ -607,10 +607,7 @@ def cosmology_moment_rates(params: CosmologyParams, c: float, p: float):
     The a = 2 entry here differs from older displays of these rates
     (2 g0 + 5 g32 e^{3x/2} + 2 g3 e^{3x} inside the bracket); only the form
     below is consistent with the a = 0, 1 rates and with differentiating
-    the closed-form solution directly.  The genuine bracket flow of the
-    moments is a uniform factor 3 larger than these transport rates at
-    linear order in the g amplitudes, reflecting the slow drift of the g
-    constants themselves.
+    the closed-form solution directly.
     """
     ex = params._e3x2(c, p)
     gamma = params.gamma

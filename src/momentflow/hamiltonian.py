@@ -22,14 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ClosureError, ConfigError, DomainError, RangeError
+from .errors import ClosureError, ConfigError, DomainError
 from .moment_algebra import (
     MomentIndex,
     MomentPolynomial,
     SemiclassicalState,
     _SORT_KEY,
     _accumulate,
-    _potential_order,
     bracket_general,
     gaussian_pairings,
     moment_vars,
@@ -52,44 +51,26 @@ CLOSURES = ("zero", "gaussian-factorize")
 
 
 class PotentialSpec:
-    """Anharmonic potential with exact derivative access.
+    """Polynomial potential sum c_k q^k from its coefficients ``[c_0, c_1, ...]``,
+    with exact derivatives."""
 
-    Either polynomial coefficients ``[c_0, c_1, ...]`` for sum c_k q^k, or a
-    callable ``derivs(q, n) -> d^n U/dq^n`` with ``max_order`` stating how
-    far the derivatives are trustworthy.
-    """
-
-    def __init__(self, coefficients=None, derivs: Callable | None = None, max_order: int | None = None):
-        if (coefficients is None) == (derivs is None):
-            raise ConfigError("give exactly one of coefficients or derivs")
-        if coefficients is not None:
-            self.coefficients = [float(c) for c in coefficients]
-            self.max_order = math.inf
-        else:
-            self._derivs = derivs
-            self.coefficients = None
-            if max_order is None:
-                raise ConfigError("callable potential needs max_order")
-            self.max_order = max_order
+    def __init__(self, coefficients):
+        self.coefficients = [float(c) for c in coefficients]
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
-        return cls(coefficients=[0.0])
+        return cls([0.0])
 
     @classmethod
     def quartic(cls, delta: float) -> "PotentialSpec":
-        return cls(coefficients=[0.0, 0.0, 0.0, 0.0, delta / 24.0])
+        return cls([0.0, 0.0, 0.0, 0.0, delta / 24.0])
 
     def derivative(self, q: float, n: int) -> float:
-        if n > self.max_order:
-            raise RangeError(f"potential derivatives available only to order {self.max_order}")
-        if self.coefficients is not None:
-            total = 0.0
-            for k, c in enumerate(self.coefficients):
-                if k >= n and c != 0.0:
-                    total += c * math.perm(k, n) * q ** (k - n)
-            return total
-        return self._derivs(q, n)
+        total = 0.0
+        for k, c in enumerate(self.coefficients):
+            if k >= n and c != 0.0:
+                total += c * math.perm(k, n) * q ** (k - n)
+        return total
 
     def __call__(self, q: float) -> float:
         return self.derivative(q, 0)
@@ -131,13 +112,7 @@ class ClassicalHamiltonian:
             return MomentPolynomial.term(coeff, x={"c": 2, "p": Fraction(1, 2)}) + self.E
         terms = [MomentPolynomial.term(Fraction(1, 2) * (1.0 / self.m), x={"p": 2}),
                  MomentPolynomial.term(0.5 * self.m * self.omega**2, x={"q": 2})]
-        # polynomial potentials expand to explicit q powers so that
-        # quadratic models stay structurally free of potential symbols
-        if self.potential.coefficients is not None:
-            terms += [MomentPolynomial.term(c, x={"q": k})
-                      for k, c in enumerate(self.potential.coefficients)]
-        else:
-            terms.append(MomentPolynomial.term(1.0, x={"U0": 1}))
+        terms += [MomentPolynomial.term(c, x={"q": k}) for k, c in enumerate(self.potential.coefficients)]
         return MomentPolynomial.sum(terms)
 
 
@@ -163,20 +138,16 @@ def expand_quantum_hamiltonian(H: ClassicalHamiltonian, n_max: int) -> QuantumHa
     """Taylor-expand <H> around the classical point, truncating at n_max."""
     if n_max < 2:
         raise ConfigError("n_max must be at least 2")
-    if H.kind == "oscillator" and H.potential.max_order < n_max + 2:
-        raise ConfigError(
-            f"potential derivatives to order {n_max + 2} required, have {H.potential.max_order}"
-        )
     qv, pv = H.xvars
     base = H.as_polynomial()
     terms = [base]
-    # mixed partials: derivs[a] after n passes holds d^n H / dp^a dq^{n-a}
-    derivs = [base]
+    # mixed partials: partials[a] after n passes holds d^n H / dp^a dq^{n-a}
+    partials = [base]
     for n in range(1, n_max + 1):
-        derivs = [derivs[0].diff_x(qv)] + [d.diff_x(pv) for d in derivs]
+        partials = [partials[0].diff_x(qv)] + [d.diff_x(pv) for d in partials]
         if n >= 2:
             terms += [Fraction(math.comb(n, a), math.factorial(n))
-                      * (derivs[a] * MomentPolynomial.moment(MomentIndex.single(a, n)))
+                      * (partials[a] * MomentPolynomial.moment(MomentIndex.single(a, n)))
                       for a in range(n + 1)]
     return QuantumHamiltonian(MomentPolynomial.sum(terms), n_max, H)
 
@@ -241,35 +212,34 @@ class EquationSystem:
         x = {v: float(y[i]) for i, v in enumerate(self.xvars)}
         nx = len(self.xvars)
         moments = {g: float(y[nx + i]) for i, g in enumerate(self.moment_vars)}
-        pot = self.model.potential if self.model.kind == "oscillator" else None
-        return SemiclassicalState(hbar, x, moments, self.n_max, pot)
+        return SemiclassicalState(hbar, x, moments, self.n_max)
 
     def compile(self, hbar: float) -> Callable[[np.ndarray], np.ndarray]:
         """Lower all RHS terms once to arrays; return the numeric RHS f(y).
 
         Term t has coefficient c[t] = coeff * hbar**h, equation eq[t] and
         factor column idx[:, t] into z = [y, powered factors, 1.0]; a powered
-        factor is a distinct (x slot or U_k, exponent) pair, except that an x
-        variable to the first power points at its y slot, and padding points
-        at the 1.0.  f fills the power slots, multiplies the rows of F = [c; z[idx]]
-        in order (coefficient, x powers, U powers, moments) and bincounts the
-        products by equation from 0.0 in sorted term order: bit for bit a
+        factor is a distinct (y slot, exponent) pair, except that a variable
+        to the first power points at its y slot, and padding points at the
+        1.0.  f fills the power slots, multiplies the rows of F = [c; z[idx]]
+        in order (coefficient, x powers, moments) and bincounts the products
+        by equation from 0.0 in sorted term order: bit for bit a
         left-to-right loop over the terms.  f returns a fresh array but reuses
         internal buffers, so it must not be shared across threads.
         """
         n, slot = len(self.variables), {v: i for i, v in enumerate(self.variables)}
-        powers: dict[tuple[str, float], int] = {}  # (symbol, exponent) -> z slot
-        xcols: dict[tuple, list[int]] = {}  # x monomial -> z slots, x powers first
+        powers: dict[tuple[int, float], int] = {}  # (y slot, exponent) -> z slot
+        xcols: dict[tuple, list[int]] = {}  # x monomial -> z slots
         # all factor slots in one list of ints: a list per term would wake the cyclic GC
         coeffs, eqs, lens, flat = [], [], [], []
         for i, var in enumerate(self.variables):
             for c, h, x, gs in self.rhs[var].terms():
                 xcol = xcols.get(x)
                 if xcol is None:
-                    fac = sorted(((sym, float(e)) for sym, e in x), key=lambda f: f[0] not in slot)
                     # y ** 1.0 == y, so a first power reads its y slot
-                    xcol = xcols[x] = [slot[f[0]] if f[1] == 1.0 and f[0] in slot
-                                       else powers.setdefault(f, n + len(powers)) for f in fac]
+                    xcol = xcols[x] = [slot[sym] if e == 1
+                                       else powers.setdefault((slot[sym], float(e)), n + len(powers))
+                                       for sym, e in x]
                 coeffs.append(float(c) * hbar ** float(h))
                 eqs.append(i)
                 lens.append(len(xcol) + len(gs))
@@ -280,20 +250,12 @@ class EquationSystem:
         idx.T[np.arange(len(idx)) < lens[:, None]] = flat
         eq, z, F = np.array(eqs, np.intp), np.ones(one + 1), np.empty((len(idx) + 1, len(eqs)))
         F[0] = coeffs
-        xpows = [(slot[s], e, zs) for (s, e), zs in powers.items() if s in slot]
-        upows = [(_potential_order(s), e, zs) for (s, e), zs in powers.items() if s not in slot]
-        pot, qslot, uks = self.model.potential, slot.get("q"), {k for k, _, _ in upows}
-        pslot = slot["p"] if self.model.kind == "cosmology" else None
+        xpows = [(s, e, zs) for (s, e), zs in powers.items()]
 
         def rhs_fn(y: np.ndarray) -> np.ndarray:
-            if pslot is not None and y[pslot] <= 0.0:
-                raise DomainError("reached p <= 0")
             z[:n] = y
             for s, e, zs in xpows:
                 z[zs] = y[s] ** e
-            u = {k: pot.derivative(y[qslot], k) for k in uks}
-            for k, e, zs in upows:
-                z[zs] = u[k] ** e
             np.take(z, idx, out=F[1:], mode="clip")
             return np.bincount(eq, np.multiply.reduce(F, axis=0), minlength=n)
 

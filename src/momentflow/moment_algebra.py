@@ -186,13 +186,6 @@ def _as_xmono(spec: Mapping[str, object] | _XMono) -> _XMono:
     return tuple(sorted(out))
 
 
-def _potential_order(sym: str) -> int | None:
-    """Order k for a potential-derivative symbol 'U<k>', else None."""
-    if sym.startswith("U") and sym[1:].isdigit():
-        return int(sym[1:])
-    return None
-
-
 def _accumulate(acc: dict, key: tuple, c: _CoeffT) -> None:
     """Add ``c`` to ``acc[key]`` in place: a key whose partial sum cancels is
     dropped, and a later term restarts it from 0."""
@@ -351,44 +344,26 @@ class MomentPolynomial:
     # -- calculus ----------------------------------------------------------
 
     def diff_x(self, var: str) -> "MomentPolynomial":
-        """Partial derivative with respect to a classical variable.
-
-        Potential-derivative symbols ``U<k>`` are functions of ``q`` and obey
-        the chain rule d(U_k)/dq = U_{k+1}; moments are independent of the
-        classical point by construction.
-        """
+        """Partial derivative with respect to a classical variable; moments
+        are independent of the classical point by construction."""
         acc: dict[tuple, _CoeffT] = {}
         for (h, x, gs), c in self._terms.items():
             for sym, e in x:
                 if sym == var:
-                    nxt = None
-                elif var == "q" and (k := _potential_order(sym)) is not None:
-                    nxt = f"U{k + 1}"
-                else:
-                    continue
-                # e copies of sym -> e * sym^{e-1}, times U_{k+1} for sym = U_k
-                new = dict(x)
-                new[sym] = e - 1
-                if nxt:
-                    new[nxt] = new.get(nxt, 0) + 1
-                key = (h, _as_xmono(new), gs)
-                acc[key] = acc.get(key, 0) + c * e
+                    # e copies of sym -> e * sym^{e-1}
+                    new = dict(x)
+                    new[sym] = e - 1
+                    key = (h, _as_xmono(new), gs)
+                    acc[key] = acc.get(key, 0) + c * e
         return MomentPolynomial(acc)
 
     def evaluate(self, state: "SemiclassicalState") -> float:
-        """Evaluate against a state; ``U<k>`` symbols need ``state.potential``."""
+        """Value at the classical point, moments and hbar of ``state``."""
         total = 0.0
         for (h, x, gs), c in self._terms.items():
             val = float(c) * state.hbar ** float(h)
             for sym, e in x:
-                k = _potential_order(sym)
-                if k is not None:
-                    if state.potential is None:
-                        raise StateError(f"symbol {sym} needs a potential on the state")
-                    base = state.potential.derivative(state.x["q"], k)
-                else:
-                    base = state.x[sym]
-                val *= base ** float(e)
+                val *= state.x[sym] ** float(e)
             for g in gs:
                 val *= state.moment(g)
             total += val
@@ -421,7 +396,6 @@ class SemiclassicalState:
     x: dict[str, float]
     moments: dict[MomentIndex, float]
     n_max: int
-    potential: object = None  # optional, for evaluating U<k> symbols
 
     def moment(self, idx: MomentIndex) -> float:
         if idx.order == 0:
@@ -456,7 +430,7 @@ class SemiclassicalState:
                 )
 
     def copy(self) -> "SemiclassicalState":
-        return SemiclassicalState(self.hbar, dict(self.x), dict(self.moments), self.n_max, self.potential)
+        return SemiclassicalState(self.hbar, dict(self.x), dict(self.moments), self.n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -591,13 +565,15 @@ def bracket_general(
     ("c", "p") with scale gamma*kappa/3 for the cosmology model.  Classical
     coefficients bracket through partial derivatives, summed over the pairs;
     moment factors bracket pairwise through :func:`bracket_moments` and
-    commute with every classical coordinate.
+    commute with every classical coordinate.  With p' = p / scale the
+    algebra is the unit one, so a moment-bracket term of hbar power h
+    carries scale^(h+1).
 
     The classical part comes first, pair by pair; then, for each pair of
     terms of P and Q in sorted order and each pair of their moment factors,
     the other factors times each term of the moment bracket add straight
     into one ``(hbar power, x monomial, sorted moments) -> coeff`` dict,
-    coefficient ``cP * cQ * c``.  Order and arithmetic are those of
+    coefficient ``cP * cQ * (c * scale^(h+1))``.  Order and arithmetic are those of
     ``MomentPolynomial.sum`` over the products ``term * bracket_moments``.
     """
     zero, acc = MomentPolynomial(), {}
@@ -607,6 +583,8 @@ def bracket_general(
         classical = scale * ((dPq * Q.diff_x(pv) if dPq else zero) - (dPp * Q.diff_x(qv) if dPp else zero))
         for key, c in classical._terms.items():
             _accumulate(acc, key, c)
+    # a product with Fraction(1) leaves every coefficient as it is: skip it
+    scaled = scale != 1 or not isinstance(scale, Fraction)
     P_moments = [t for t in P.terms() if t[3]]
     Q_moments = [t for t in Q.terms() if t[3]]
     for cP, hP, xP, gP in P_moments:
@@ -619,7 +597,7 @@ def bracket_general(
                 for j, gj in enumerate(gQ):
                     rest = rest_p + gQ[:j] + gQ[j + 1 :]
                     for (h, _, gs), c in bracket_moments(gi, gj)._terms.items():
-                        c = base_c * c
+                        c = base_c * (c * scale ** (h + 1) if scaled else c)
                         if c:
                             if rest:
                                 gs = tuple(sorted(rest + gs, key=_SORT_KEY))

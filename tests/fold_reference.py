@@ -82,7 +82,9 @@ def bracket_general(P, Q, xvars=("q", "p"), scale=Fraction(1)):
                 for j, gj in enumerate(gQ):
                     rest_q = gQ[:j] + gQ[j + 1 :]
                     piece = MomentPolynomial.term(base_c, hbar=base_h, x=base_x, gs=rest_p + rest_q)
-                    pieces.append(piece * bracket_moments(gi, gj))
+                    # {q, p} = scale: a moment-bracket term of hbar power h carries scale^(h+1)
+                    pieces.append(piece * MomentPolynomial({(h, x, gs): c * scale ** (h + 1) for (h, x, gs), c
+                                                            in bracket_moments(gi, gj)._terms.items()}))
     return _sum(pieces)
 
 

@@ -508,26 +508,40 @@ def test_adiabatic_breakdown_writes_partial_on_requested_grid(tmp_path, capsys):
     assert "adiabatic breakdown" in err and f"t={t_stop!r}" in err
 
 
-def test_simulate_cosmology_p_guard_says_when(tmp_path, capsys):
-    # from c = 1 the volume p collapses: the p-guard event ends the run
-    # before the stepper fails, and the message and meta.json name it
+def _check_p_guard_stop(tmp_path, capsys, t1, samples, c0, p0):
+    """Simulate the n_max 2 cosmology from (c0, p0): the p-guard event must end
+    the run, the message and meta.json must name it, and the partial CSV must
+    hold the samples before it."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": "cosmology", "n_max": 2, "t1": 1.0,
-                               "initial": {"kind": "coherent", "q0": 1.0, "p0": 1.0}}))
+    cfg.write_text(json.dumps({"model": "cosmology", "n_max": 2, "t1": t1, "samples": samples,
+                               "initial": {"kind": "coherent", "q0": c0, "p0": p0}}))
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     stats = json.loads((tmp_path / "trajectory.meta.json").read_text())["stats"]
     assert stats["status"] == 1 and "p-guard" in stats["stop_cause"]
-    assert "p-guard" in err and f"t={stats['t_stop']!r}" in err
-    t = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1, usecols=0)
-    grid = np.linspace(0.0, 1.0, 201)
-    assert 1 < t.size < grid.size and np.array_equal(t, grid[:t.size])
+    assert err == f"trajectory incomplete: {stats['stop_cause']} at t={stats['t_stop']!r}\n"
+    t = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1, usecols=0, ndmin=1)
+    grid = np.linspace(0.0, t1, samples)
+    assert t.size < grid.size and np.array_equal(t, grid[:t.size])
     assert t[-1] <= stats["t_stop"] < grid[t.size]
+    return t
+
+
+def test_simulate_cosmology_p_guard_says_when(tmp_path, capsys):
+    # from c = 1 the volume p collapses: the p-guard event ends the run
+    # before the stepper fails
+    assert _check_p_guard_stop(tmp_path, capsys, 1.0, 201, 1.0, 1.0).size > 1
+
+
+def test_simulate_cosmology_p_guard_inside_trial_stage(tmp_path, capsys):
+    # a trial stage of the first step reaches p <= 0: the stepper rejects
+    # the step, and the run still ends at the guard with its t = 0 sample
+    assert _check_p_guard_stop(tmp_path, capsys, 100.0, 51, 2.0, 0.05).size == 1
 
 
 def test_simulate_cosmology_collapse_says_when(tmp_path, capsys):
     # at n_max 3 the collapse from c0 = -0.5 ends by a step-size collapse at
-    # t = 0.8379, before p reaches the p-guard's floor: the partial CSV holds
+    # t = 0.9973, before p reaches the p-guard's floor: the partial CSV holds
     # the requested samples up to there, and the message and meta.json say
     # where and why the run stopped, as for an event stop
     cfg = tmp_path / "cfg.json"
@@ -540,14 +554,14 @@ def test_simulate_cosmology_collapse_says_when(tmp_path, capsys):
     stats = meta["stats"]
     assert meta["complete"] is False and stats["status"] == -1
     assert stats["stop_cause"].startswith("step-size collapse")
-    assert stats["t_stop"] == 0.8379042789536469
+    assert stats["t_stop"] == 0.9973239178707394
     assert err == f"trajectory incomplete: {stats['stop_cause']} at t={stats['t_stop']!r}\n"
     t = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1, usecols=0)
     grid = np.linspace(0.0, 100.0, 201)
     assert 1 < t.size < grid.size and np.array_equal(t, grid[:t.size])
     assert t[-1] <= stats["t_stop"] < grid[t.size]
     assert hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest() == (
-        "5f22e30ab88f48c3275fc3bc43a95ad316ee7dd69993309e758e19e0805c6b61")
+        "00c516030e789e3cd4fa818169aaf7dcd6b64264042d32845944ec64c22c68ea")
 
 
 def test_adiabatic_rejects_free(tmp_path):
@@ -661,6 +675,7 @@ def test_uncertainty_bad_file_exits_3(tmp_path):
     ({"x": {"q": None}, "moments": {"G_0_2": 0.5}}, "x"),
     ({"moment": {"G_0_2": 0.5}}, "moment"),
     ([], "JSON object"),
+    ({"moments": {"G_0_2": 1.0, "G_2_2": 1.0}}, "G_1_2"),
 ])
 def test_uncertainty_bad_state_exits_3(tmp_path, capsys, state, key):
     path = tmp_path / "state.json"

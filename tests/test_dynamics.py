@@ -392,14 +392,14 @@ def test_cosmology_moment_rates_are_transport():
 
 
 def test_cosmology_moment_rates_vs_direct():
-    # the genuine bracket flow is a uniform factor 3 above the transport
-    # rates at linear order in the g amplitudes
-    params = dyn.CosmologyParams(g0=3e-4, g32=1e-4, g3=2e-4, hbar=1e-6)
+    # the bracket flow of the moments, with {c, p} = gamma kappa / 3 scaling
+    # the moment brackets too, is the transport of the g-solution
     c, p = -0.3, 2.0
-    out = dyn.cosmology_effective_rhs(params, c, p)
-    printed = dyn.cosmology_moment_rates(params, c, p)
-    for label, val in printed.items():
-        assert out["moment_rates_direct"][label] == pytest.approx(3.0 * val, rel=2e-3)
+    for gamma, kappa in [(1.0, 1.0), (1.0, 3.0), (3.0, 1.0), (0.5, 2.0)]:
+        params = dyn.CosmologyParams(gamma=gamma, kappa=kappa, g0=3e-4, g32=1e-4, g3=2e-4, hbar=1e-6)
+        out = dyn.cosmology_effective_rhs(params, c, p)
+        for label, val in dyn.cosmology_moment_rates(params, c, p).items():
+            assert out["moment_rates_direct"][label] == pytest.approx(val, rel=1e-12), (gamma, kappa)
 
 
 def test_cosmology_collapse_hits_guard():

@@ -10,7 +10,7 @@ import pytest
 
 import fold_reference as fold
 from fold_reference import exact_items
-from momentflow.errors import ConfigError, DomainError, RangeError
+from momentflow.errors import ConfigError, DomainError
 from momentflow.hamiltonian import (
     ClassicalHamiltonian,
     EquationSystem,
@@ -46,21 +46,6 @@ def test_potential_polynomial_derivatives():
     assert PotentialSpec.zero()(3.0) == 0.0
 
 
-def test_potential_requires_one_source():
-    with pytest.raises(ConfigError):
-        PotentialSpec()
-    with pytest.raises(ConfigError):
-        PotentialSpec(coefficients=[0.0, 1.0], derivs=lambda q, n: 0.0, max_order=4)
-
-
-def test_potential_callable_needs_max_order():
-    with pytest.raises(ConfigError):
-        PotentialSpec(derivs=lambda q, n: 0.0)
-    pot = PotentialSpec(derivs=lambda q, n: float(n == 0) * q, max_order=3)
-    with pytest.raises(RangeError):
-        pot.derivative(1.0, 4)
-
-
 # -- classical Hamiltonians --------------------------------------------------
 
 
@@ -85,12 +70,6 @@ def test_cosmology_polynomial_value():
 def test_expand_rejects_small_order():
     with pytest.raises(ConfigError):
         expand_quantum_hamiltonian(ClassicalHamiltonian(), 1)
-
-
-def test_expand_rejects_short_callable_potential():
-    pot = PotentialSpec(derivs=lambda q, n: 0.0, max_order=4)
-    with pytest.raises(ConfigError):
-        expand_quantum_hamiltonian(ClassicalHamiltonian(potential=pot), 3)
 
 
 def test_expand_harmonic_energy():
@@ -201,41 +180,20 @@ def test_compile_matches_symbolic(rng):
     for _ in range(3):
         moments = {g: float(rng.normal(scale=0.2)) for g in system.moment_vars}
         st = SemiclassicalState(hbar, {"q": float(rng.normal()), "p": float(rng.normal())},
-                                moments, 3, H.potential)
+                                moments, 3)
         y = system.pack(st)
         vals = rhs(y)
         for var, v in zip(system.variables, vals):
             assert v == pytest.approx(system.rhs[var].evaluate(st), rel=1e-12, abs=1e-14)
 
 
-def test_compile_callable_potential_agrees(rng):
-    delta = 0.25
-    coeff_pot = PotentialSpec.quartic(delta)
-    call_pot = PotentialSpec(derivs=lambda q, n: coeff_pot.derivative(q, n), max_order=8)
-    sys_c = generate_eom(expand_quantum_hamiltonian(ClassicalHamiltonian(potential=coeff_pot), 3))
-    sys_f = generate_eom(expand_quantum_hamiltonian(ClassicalHamiltonian(potential=call_pot), 3))
-    y = np.concatenate([[0.4, -0.3], rng.normal(scale=0.1, size=len(sys_c.moment_vars))])
-    assert np.allclose(sys_c.compile(1.0)(y), sys_f.compile(1.0)(y), rtol=1e-12)
-
-
 # -- lowering of the compiled RHS ------------------------------------------
-
-
-def _wavy_potential():
-    # delta q^4 / 24 + eps cos q: the RHS keeps U_k symbols, q^4 alone would not
-    delta, eps = 0.3, 0.05
-
-    def derivs(q, n):
-        poly = PotentialSpec.quartic(delta).derivative(q, n)
-        return poly + eps * math.cos(q + n * math.pi / 2)
-
-    return PotentialSpec(derivs=derivs, max_order=20)
 
 
 LOWERING_CASES = [
     (kind, n_max, closure)
     for closure in ("zero", "gaussian-factorize")
-    for kind, n_max in (("quartic", 8), ("quartic", 12), ("callable", 6), ("cosmology", 4))
+    for kind, n_max in (("quartic", 8), ("quartic", 12), ("sextic", 6), ("cosmology", 4))
 ]
 
 
@@ -243,7 +201,8 @@ def _lowering_case(kind, n_max, closure, rng, states=20):
     """(system, hbar, random states y) for one lowering case."""
     H = {
         "quartic": ClassicalHamiltonian(m=1.1, omega=0.9, potential=PotentialSpec.quartic(0.3)),
-        "callable": ClassicalHamiltonian(potential=_wavy_potential()),
+        # a sextic with constant, linear, cubic and quartic terms: its RHS holds q^1 ... q^5
+        "sextic": ClassicalHamiltonian(potential=PotentialSpec([0.1, -0.2, 0.0, 0.15, 0.0125, 0.0, 0.01])),
         "cosmology": ClassicalHamiltonian(kind="cosmology", gamma=0.9, kappa=1.2, E=1.0),
     }[kind]
     system = generate_eom(expand_quantum_hamiltonian(H, n_max), closure)
@@ -254,19 +213,16 @@ def _lowering_case(kind, n_max, closure, rng, states=20):
 
 
 def _reference_rhs(system, hbar, y):
-    """The term loop the lowering replaces: coefficient, x powers, U powers,
-    moment factors multiplied left to right, terms summed in order from 0.0."""
+    """The term loop the lowering replaces: coefficient, x powers, moment
+    factors multiplied left to right, terms summed in order from 0.0."""
     slot = {v: i for i, v in enumerate(system.variables)}
     out = np.empty(len(slot))
     for i, var in enumerate(system.variables):
         total = 0.0
         for c, h, x, gs in system.rhs[var].terms():
             val = float(c) * hbar ** float(h)
-            for sym, e in sorted(x, key=lambda f: f[0].startswith("U")):
-                if sym.startswith("U"):
-                    val *= system.model.potential.derivative(y[slot["q"]], int(sym[1:])) ** float(e)
-                else:
-                    val *= y[slot[sym]] ** float(e)
+            for sym, e in x:
+                val *= y[slot[sym]] ** float(e)
             for g in gs:
                 val *= y[slot[g]]
             total += val
@@ -277,9 +233,9 @@ def _reference_rhs(system, hbar, y):
 @pytest.mark.parametrize("kind,n_max,closure", LOWERING_CASES)
 def test_compile_matches_evaluate(kind, n_max, closure, rng):
     system, hbar, Y = _lowering_case(kind, n_max, closure, rng)
-    if kind == "callable":
-        assert any(sym.startswith("U") for v in system.variables
-                   for _, _, x, _ in system.rhs[v].terms() for sym, _ in x)
+    if kind == "sextic":
+        assert {e for v in system.variables for _, _, x, _ in system.rhs[v].terms()
+                for sym, e in x if sym == "q"} == set(range(1, 6))
     rhs = system.compile(hbar)
     for y in Y:
         st = system.unpack(y, hbar)
@@ -297,7 +253,7 @@ def test_compile_bit_identical_to_term_loop(kind, n_max, closure, rng):
 
 @pytest.mark.parametrize("kind,n_max,closure", [
     (kind, n_max, closure) for closure in ("zero", "gaussian-factorize")
-    for kind, n_max in (("quartic", 6), ("callable", 4), ("cosmology", 4))])
+    for kind, n_max in (("quartic", 6), ("sextic", 4), ("cosmology", 4))])
 def test_generate_eom_equals_fold_reference(kind, n_max, closure):
     # the one-dict bracket and closure passes against the polynomial fold:
     # the same terms in the same key order, with the same coefficients
@@ -350,11 +306,11 @@ LISTING_SHA256 = {
         "8a6a56ddabae2ba73e92e2ea6f661618110736f55a917d83170af5c9bb1ea130",
         "85b964d3aefd6696a61bab3216df83d494cd4060d44a5d420b700e1cd8d2cb4b"),
     ("cosmology", 4, "zero"): (
-        "7385a98861a5372564fcdbaa4fdf3df3ea31ae7c016251ce10011290cb54c87a",
-        "a960ca8cf7624fbd47aad832391d9198305a041155e39ffce0a64fc77a8179ff"),
+        "8b738dc7893c9ff69099829a1907081da96ff1387cf75dfcf0ad511d33f88a14",
+        "e838f502436da7aa949aab66fd1a8bdce177faa8213e7d07861551d24ebe809d"),
     ("cosmology", 4, "gaussian-factorize"): (
-        "076e10c0e691b6535ed399b8107204b6be9693cf2a0d5214e2901029e1e8ef18",
-        "5d829c1d0e287ba688d233d352c03736da92e99ed28e0f13cfc615760facc9b7"),
+        "b2d0961a5a25d7fca3a4178be568864c147bab89b8827f4a69835ddbf2ca63d1",
+        "0f4ac09ebed9d19128fcfcdf8c6642644a7891d645557e5ffb71576439643ad1"),
     # the top order of the derive benchmark, and Fraction exponents with
     # float coefficients under a closure that multiplies them out
     ("quartic", 12, "zero"): (
@@ -364,8 +320,8 @@ LISTING_SHA256 = {
         "d244d94954b2a78f76155bb7a4aa6e02e363acce0bb1af0ec629e90cfc0896ee",
         "a909218898718b0742206fb3d91685da5c03d2d3967bab743530f70fe7aecc6a"),
     ("cosmology", 6, "gaussian-factorize"): (
-        "5094c47fb27c9fa846a9aa55491e8d8d7d3622bf310b9fead9c87d9f5669a91b",
-        "ea5789673555a15eacdfcac0279acc49dfc0e9ca18cf43839dd2b05f88e7b583"),
+        "53d5617e97a8f524a2edba3f4dc5756f8c743546b8f94512d9fadff91c7f1838",
+        "c882cebe86483d00acdd1c62fea789de4819b7093d99dfed20e43a957f0b61a5"),
 }
 
 
@@ -430,15 +386,8 @@ def test_cosmology_compiled_classical_flow():
 
 
 def test_cosmology_domain_guard():
-    H = ClassicalHamiltonian(kind="cosmology")
-    system = generate_eom(expand_quantum_hamiltonian(H, 2))
-    rhs = system.compile(1.0)
-    y = system.pack(SemiclassicalState(1.0, {"c": 0.1, "p": 1.0}, {G(a, 2): 0.0 for a in range(3)}, 2))
-    for p in (0.0, -0.5):
-        y[system.variables.index("p")] = p
-        with pytest.raises(DomainError):
-            rhs(y)
-    HQ = expand_quantum_hamiltonian(H, 2)
+    # H_Q refuses p <= 0; a run stops before, at the p-guard event (test_cli.py)
+    HQ = expand_quantum_hamiltonian(ClassicalHamiltonian(kind="cosmology"), 2)
     with pytest.raises(DomainError):
         HQ.evaluate(SemiclassicalState(1.0, {"c": 0.1, "p": 0.0}, {}, 2))
 

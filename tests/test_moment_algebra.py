@@ -270,7 +270,7 @@ _ref_poly = st.lists(_ref_term, min_size=1, max_size=4).map(MomentPolynomial.sum
 
 
 @settings(max_examples=80, deadline=None)
-@given(_ref_poly, _ref_poly, st.sampled_from([Fraction(1), Fraction(-2, 3), 0.3]))
+@given(_ref_poly, _ref_poly, st.sampled_from([Fraction(1), Fraction(-2, 3), 0.3, 1.0]))
 def test_bracket_general_equals_fold_reference(P, Q, scale):
     # same keys in the same order, same coefficient types and values
     got = bracket_general(P, Q, scale=scale)
