@@ -37,8 +37,8 @@ print("drift of each moment from its constant value over 10 periods:")
 for idx in moment_vars(N_MAX):
     a, n = idx.p_power, idx.order
     ref = from_dimensionless(coherent_tilde_moment(a, n), a, n, M, W, HBAR)
-    drift = np.max(np.abs(traj.column(idx.column_label()) - ref))
-    print(f"  {idx.column_label():8s} {drift:.3e}")
+    drift = np.max(np.abs(traj.column(str(idx)) - ref))
+    print(f"  {str(idx):8s} {drift:.3e}")
 
 err_q = np.max(np.abs(traj.column("q") - np.cos(W * traj.t)))
 print(f"(q, p) error vs classical solution: {err_q:.3e}")
@@ -52,7 +52,7 @@ psi = orc.Propagator(space.p1 @ space.p1 / 2 + space.q1 @ space.q1 / 2, HBAR)(
 )
 st = orc.moments_of(psi, space, N_MAX)
 worst = max(
-    abs(st.moment(idx) - traj.y[-1][traj.labels.index(idx.column_label())])
+    abs(st.moment(idx) - traj.y[-1][traj.labels.index(str(idx))])
     for idx in moment_vars(N_MAX)
 )
 print(f"final-time disagreement with the Fock-basis reference: {worst:.3e}")

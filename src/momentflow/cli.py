@@ -3,8 +3,8 @@ oracle comparisons, and diagnostics, and emit CSV/JSON artifacts.
 
 Every config key, its default and its rule are declared once, in
 ``CONFIG_SCHEMA`` (and ``INITIAL_SCHEMA`` for the keys of each
-``initial.kind``).  Each override flag sets the config key it names
-(``--nmax`` sets ``n_max``).
+``initial.kind``).  Each override flag sets the config key that ``FLAGS``
+maps it to (``--nmax`` sets ``n_max``), with the type of that key's default.
 
 A run that stops before t1 (a domain guard, an adiabatic breakdown or a
 step-size collapse) exits 2: ``simulate`` and ``adiabatic`` still write the
@@ -26,10 +26,10 @@ import math
 import os
 import re
 import sys
-from importlib import metadata
 
 import numpy as np
 
+from . import __version__ as VERSION
 from .adiabatic import AdiabaticConfig, AdiabaticEmbedding, solve_effective
 from .dynamics import (
     CosmologyParams,
@@ -64,11 +64,6 @@ from .moment_algebra import (
     moment_vars,
 )
 from .states import SqueezeMatrix, squeezed_moment
-
-try:
-    VERSION = metadata.version("momentflow")
-except metadata.PackageNotFoundError:  # running from a checkout
-    VERSION = "0.1.0"
 
 MODELS = ("harmonic", "free", "quartic", "cosmology")
 
@@ -155,8 +150,9 @@ INITIAL_SCHEMA = {
     "moments": {**_INITIAL_COMMON, "values": ({}, *MOMENTS)},
 }
 
-#: config keys that the flag of the same name (its dest) overrides
-OVERRIDE_KEYS = ("model", "out", "hbar", "n_max", "oracle_dim", "format")
+#: override flag -> the config key it sets
+FLAGS = {"--model": "model", "--out": "out", "--hbar": "hbar", "--nmax": "n_max",
+         "--oracle-dim": "oracle_dim", "--format": "format"}
 
 
 def _apply(schema: dict, data: dict, prefix: str = "") -> dict:
@@ -308,13 +304,21 @@ def cmd_simulate(cfg: dict) -> int:
     ))
 
 
+def _coherent_start(cfg: dict, command: str) -> tuple[float, float]:
+    """(q0, p0) of the initial state, which ``command`` reads as coherent."""
+    init = cfg["initial"]
+    if init["kind"] != "coherent":
+        raise ConfigError(f"{command} supports initial.kind 'coherent' only, got {init['kind']!r}")
+    return float(init["q0"]), float(init["p0"])
+
+
 def cmd_adiabatic(cfg: dict) -> int:
     model = build_model(cfg)
     if model.kind != "oscillator" or model.omega <= 0:
         raise ConfigError("adiabatic solver needs an oscillator model with omega > 0")
-    q0, qdot0 = float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"]) / model.m
+    q0, p0 = _coherent_start(cfg, "adiabatic")
     return _run_and_write(cfg, "adiabatic", solve_effective(
-        AdiabaticConfig(), model, cfg["hbar"], q0, qdot0,
+        AdiabaticConfig(), model, cfg["hbar"], q0, p0 / model.m,
         (cfg["t0"], cfg["t1"]), n_samples=cfg["samples"],
     ))
 
@@ -342,9 +346,7 @@ def cmd_compare(cfg: dict) -> int:
     model = build_model(cfg)
     if model.kind != "oscillator":
         raise ConfigError("compare needs a model within oracle coverage (not cosmology)")
-    if cfg["initial"]["kind"] != "coherent":
-        raise ConfigError("compare supports coherent initial states")
-    q0, p0 = float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"])
+    q0, p0 = _coherent_start(cfg, "compare")
     # an input that overflows the displacement's generator is a domain error;
     # one that overflows the moments gives a non-finite initial state, which
     # integrate rejects before any sample is propagated
@@ -372,7 +374,7 @@ def cmd_compare(cfg: dict) -> int:
                   "errors beyond this time are unreliable", file=sys.stderr)
             tail_warned = True
         st = orc.moments_of(psi, space, 2)
-        for lbl, val in [*st.x.items(), *((g.column_label(), v) for g, v in st.moments.items())]:
+        for lbl, val in [*st.x.items(), *((str(g), v) for g, v in st.moments.items())]:
             ref.setdefault(lbl, []).append(val)
 
     table = {}
@@ -402,7 +404,7 @@ def cmd_brackets(cfg: dict) -> int:
         for i2 in idxs:
             poly = bracket_moments(i1, i2)
             body = poly.to_text().replace("\n", " + ") or "0"
-            lines.append(f"{{{i1.column_label()}, {i2.column_label()}}} = {body}")
+            lines.append(f"{{{i1}, {i2}}} = {body}")
     if cfg["format"] == "json":
         print(json.dumps({"n_max": n_max, "dof": dof, "brackets": lines}, indent=2))
     else:
@@ -421,7 +423,7 @@ def cmd_uncertainty(cfg: dict, state_path: str) -> int:
     hbar = float(data["hbar"])
     x = {k: float(v) for k, v in data["x"].items()}
     moments = {_moment_index(lbl): float(v) for lbl, v in data["moments"].items()}
-    missing = [idx.column_label() for idx in moment_vars(2) if idx not in moments]
+    missing = [str(idx) for idx in moment_vars(2) if idx not in moments]
     if missing:
         raise ConfigError(f"state.moments needs {', '.join(missing)}")
     n_max = max((idx.order for idx in moments), default=2)
@@ -489,12 +491,8 @@ def make_parser() -> argparse.ArgumentParser:
     for name in (*COMMANDS, "uncertainty"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--model", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--hbar", type=float, default=None)
-        p.add_argument("--nmax", dest="n_max", metavar="NMAX", type=int, default=None)
-        p.add_argument("--oracle-dim", dest="oracle_dim", type=int, default=None)
-        p.add_argument("--format", default=None)
+        for flag, key in FLAGS.items():
+            p.add_argument(flag, dest=key, type=type(CONFIG_SCHEMA[key][0]), default=None)
         if name == "brackets":
             p.add_argument("pos_n_max", metavar="nmax", type=int, nargs="?", default=None)
             p.add_argument("pos_dof", metavar="dof", type=int, nargs="?", default=None)
@@ -505,11 +503,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    flags = [(key, getattr(args, key)) for key in OVERRIDE_KEYS]
+    flags = [(key, getattr(args, key)) for key in FLAGS.values()]
     # brackets' positional nmax and dof come last, so they beat --nmax
     flags += [(key, getattr(args, "pos_" + key, None)) for key in ("n_max", "dof")]
     try:
         cfg = load_config(args.config, {key: val for key, val in flags if val is not None})
+        if cfg["dof"] != 1 and args.command != "brackets":
+            raise ConfigError(f"dof {cfg['dof']} is read by brackets only; {args.command} runs one DOF")
         if args.command == "uncertainty":
             return cmd_uncertainty(cfg, args.state_file)
         return COMMANDS[args.command](cfg)

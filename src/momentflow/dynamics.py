@@ -336,7 +336,7 @@ def integrate(
     if rtol <= 0 or atol <= 0:
         raise StateError("tolerances must be positive")
     if validate:
-        s0.validate(margin_tol=1e-9)
+        s0.validate(margin_tol=1e-9, scale=system.model.bracket_scale)
     rhs = system.compile(s0.hbar)
     y0 = system.pack(s0)
     finite = np.isfinite(y0)

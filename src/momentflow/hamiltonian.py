@@ -199,7 +199,7 @@ class EquationSystem:
         return list(self.xvars) + list(self.moment_vars)
 
     def labels(self) -> list[str]:
-        return list(self.xvars) + [g.column_label() for g in self.moment_vars]
+        return list(map(str, self.variables))
 
     # -- numeric packing ---------------------------------------------------
 
@@ -266,9 +266,8 @@ class EquationSystem:
     def listing_text(self) -> str:
         lines = [f"# model={self.model.kind} n_max={self.n_max} closure={self.closure}"]
         for var in self.variables:
-            name = var if isinstance(var, str) else str(var)
             body = self.rhs[var].to_text().replace("\n", " + ")
-            lines.append(f"d/dt {name} = {body}")
+            lines.append(f"d/dt {var} = {body}")
         return "\n".join(lines)
 
     def listing_json(self) -> str:
@@ -292,8 +291,7 @@ class EquationSystem:
                 xs = _json_list([_json_list([esc(sym), esc(str(e))], 14) for sym, e in x], 12)
                 terms.append(f'{{\n          "coeff": {coeff},\n          "hbar_power": {esc(str(h))},'
                              f'\n          "moments": {moments},\n          "x": {xs}\n        }}')
-            name = var if isinstance(var, str) else str(var)
-            eqs.append(f'{{\n      "terms": {_json_list(terms, 8)},\n      "variable": {esc(name)}\n    }}')
+            eqs.append(f'{{\n      "terms": {_json_list(terms, 8)},\n      "variable": {esc(str(var))}\n    }}')
         meta = json.dumps({"model": self.model.kind, "n_max": self.n_max, "closure": self.closure},
                           indent=2, sort_keys=True).replace("\n", "\n  ")
         return f'{{\n  "equations": {_json_list(eqs, 4)},\n  "meta": {meta}\n}}'

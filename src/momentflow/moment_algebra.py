@@ -107,14 +107,8 @@ class MomentIndex:
         return self._key < other._key
 
     def __str__(self):
-        if self.dof == 1:
-            return f"G[{self.p_powers[0]},{self.order}]"
-        qs = ",".join(map(str, self.q_powers))
-        ps = ",".join(map(str, self.p_powers))
-        return f"G[{qs};{ps}]"
-
-    def column_label(self) -> str:
-        """Underscore-separated label used in CSV headers."""
+        """The moment's one name, in CSV headers, configs, state files and
+        listings: ``G_a_n`` at one DOF, ``G_<q powers>_<p powers>`` beyond."""
         if self.dof == 1:
             return f"G_{self.p_powers[0]}_{self.order}"
         return "G_" + "_".join(map(str, self.q_powers + self.p_powers))
@@ -411,8 +405,9 @@ class SemiclassicalState:
         """Single-DOF shorthand lookup."""
         return self.moment(MomentIndex.single(a, n))
 
-    def validate(self, margin_tol: float = 0.0) -> None:
-        """Raise a diagnosable error on violated structural invariants."""
+    def validate(self, margin_tol: float = 0.0, scale=1) -> None:
+        """Raise a diagnosable error on violated structural invariants;
+        ``scale`` is {q, p}, as in ``check_uncertainty_order2``."""
         dof = next(iter(self.moments)).dof if self.moments else 1
         for f in range(dof):
             for powers in ("q", "p"):
@@ -422,7 +417,7 @@ class SemiclassicalState:
                 if idx in self.moments and self.moments[idx] <= 0:
                     raise StateError(f"diagonal second moment {idx} must be positive")
         if dof == 1 and self.n_max >= 2:
-            m = check_uncertainty_order2(self)
+            m = check_uncertainty_order2(self, scale)
             if m < -abs(margin_tol):
                 raise StateError(
                     f"order-2 uncertainty violated: margin {m:.3e} < 0 "
@@ -636,9 +631,11 @@ def gaussian_moment(j: int, k: int, c_qq: float, c_qp: float, c_pp: float) -> fl
 # uncertainty relations
 
 
-def check_uncertainty_order2(state: SemiclassicalState) -> float:
-    """Margin G^{0,2} G^{2,2} - (G^{1,2})^2 - hbar^2/4; negative = unphysical."""
-    return state.G(0, 2) * state.G(2, 2) - state.G(1, 2) ** 2 - state.hbar**2 / 4
+def check_uncertainty_order2(state: SemiclassicalState, scale=1) -> float:
+    """Margin G^{0,2} G^{2,2} - (G^{1,2})^2 - (hbar s)^2/4; negative =
+    unphysical.  ``s`` = ``scale`` is the canonical bracket {q, p}: 1 for an
+    oscillator, gamma kappa / 3 for the cosmology pair (c, p)."""
+    return state.G(0, 2) * state.G(2, 2) - state.G(1, 2) ** 2 - (state.hbar * scale) ** 2 / 4
 
 
 class GaussianDProvider:

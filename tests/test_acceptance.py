@@ -110,7 +110,7 @@ def test_A2_harmonic_strong_effective_system():
             ref = from_dimensionless(
                 dyn.coherent_tilde_moment(idx.p_power, n), idx.p_power, n, m, w, hbar
             )
-            err_g = max(err_g, np.max(np.abs(traj.column(idx.column_label()) - ref)))
+            err_g = max(err_g, np.max(np.abs(traj.column(str(idx)) - ref)))
 
     space = orc.FockSpace(60, m, w, hbar)
     vac = np.zeros(60, dtype=complex)
@@ -124,7 +124,7 @@ def test_A2_harmonic_strong_effective_system():
         err_orc = max(err_orc, abs(st.x["q"] - traj.y[i][0]), abs(st.x["p"] - traj.y[i][1]))
         for n in range(2, n_max + 1):
             for idx in moment_indices(n, 1):
-                col = traj.labels.index(idx.column_label())
+                col = traj.labels.index(str(idx))
                 err_orc = max(err_orc, abs(st.moment(idx) - traj.y[i][col]))
 
     elapsed = time.time() - t_start

@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 
 from momentflow import cli
 from momentflow.errors import ConfigError
+from momentflow.hamiltonian import expand_quantum_hamiltonian, generate_eom
+from momentflow.moment_algebra import moment_vars
 
 
 def run(argv, capsys=None):
@@ -121,6 +123,12 @@ def test_missing_config_file_exits_3(tmp_path):
     ({"model": "quartic", "m": 1e-300, "omega": 1e-300, "delta": 0}, "m * omega"),
     (("adiabatic", {"model": "quartic", "m": 1e-300, "omega": 1e-300}), "m * omega"),
     (("compare", {"model": "free", "m": 1e-300, "omega": 1e-300}), "m * omega"),
+    # only brackets reads dof, and adiabatic starts from a coherent state
+    (("simulate", {"dof": 2}), "dof"),
+    (("compare", {"dof": 2}), "dof"),
+    (("adiabatic", {"model": "quartic", "initial": {"kind": "squeezed", "g": [[1, 0], [0, 1]]}}),
+     "initial.kind"),
+    (("adiabatic", {"model": "quartic", "initial": {"kind": "moments"}}), "initial.kind"),
 ])
 def test_non_integer_config_exits_3(tmp_path, capsys, data, key):
     """Each bad input is named in a config error; a list is a command line,
@@ -159,6 +167,21 @@ def test_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 0
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # every `momentflow ...` line of README's "Command line" block exits 0
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        block = fh.read().split("## Command line\n", 1)[1].split("```", 2)[1]
+    commands = [line.split("#")[0].split()[1:] for line in block.splitlines()
+                if line.startswith("momentflow ")]
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "state.json").write_text(json.dumps(
+        {"hbar": 1.0, "moments": {"G_0_2": 0.5, "G_1_2": 0.0, "G_2_2": 0.5}}))
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, config, words", [
@@ -610,7 +633,7 @@ def test_compare_oracle_dim_cap(tmp_path):
 def test_brackets_listing(capsys):
     assert cli.main(["brackets", "2"]) == 0
     out = capsys.readouterr().out
-    assert "{G_0_2, G_2_2} = 4/1 * G[1,2]" in out
+    assert "{G_0_2, G_2_2} = 4/1 * G_1_2" in out
     assert "{G_0_2, G_0_2} = 0" in out
 
 
@@ -618,19 +641,19 @@ def test_brackets_json(capsys):
     assert cli.main(["brackets", "2", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_max"] == 2
-    assert any("4/1 * G[1,2]" in line for line in payload["brackets"])
+    assert any("4/1 * G_1_2" in line for line in payload["brackets"])
 
 
 def test_brackets_bytes_pinned(capsys):
     assert cli.main(["brackets", "4", "2"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "be13a13aef0d10e8ab6532690a471c06eb930628c68c28e892aab9a8f9419fb3"
+    assert digest == "35b731be5dbadfd02a9b9e79f096404d73385b2aea864a8b589fde77f6ac978e"
 
 
 def test_brackets_one_dof_bytes_pinned(capsys):
     assert cli.main(["brackets", "5"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "eef92f2bb0bb5b5982430fd4bee321118336c97ec1e1ed1b42e47badeb55d1f5"
+    assert digest == "84147daaed14c3a7a163a0e72a448e5f32140dc497fce35cf6a2cfcf7cbfb1e7"
 
 
 def test_brackets_bad_dof(capsys):
@@ -642,6 +665,29 @@ def test_brackets_positionals_beat_nmax(capsys):
     assert json.loads(capsys.readouterr().out)["n_max"] == 2
     assert cli.main(["brackets", "--nmax", "2", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["n_max"] == 2
+
+
+# -- one name per moment -----------------------------------------------------
+
+
+@pytest.mark.parametrize("model", ["quartic", "cosmology"])
+def test_one_name_per_moment_end_to_end(tmp_path, model):
+    # the JSON listing's variables, the system's labels and the CSV header agree
+    cfg = {"model": model, "n_max": 4, "t1": 0.01, "samples": 3,
+           "initial": {"kind": "coherent", "q0": -0.5, "p0": 1.0}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "trajectory.csv") as fh:
+        header = next(csv.reader(fh))
+    cfg = cli.load_config(None, cfg)
+    system = generate_eom(expand_quantum_hamiltonian(cli.build_model(cfg), 4), cfg["closure"])
+    listed = [eq["variable"] for eq in json.loads(system.listing_json())["equations"]]
+    assert listed == system.labels() == header[1:]
+
+
+def test_moment_label_round_trips():
+    for idx in moment_vars(12):
+        assert cli._moment_index(str(idx)) == idx
 
 
 # -- uncertainty -------------------------------------------------------------

@@ -23,7 +23,7 @@ from momentflow.hamiltonian import (
     from_dimensionless,
     generate_eom,
 )
-from momentflow.moment_algebra import MomentIndex, SemiclassicalState
+from momentflow.moment_algebra import MomentIndex, SemiclassicalState, check_uncertainty_order2
 
 
 def G(a, n):
@@ -360,6 +360,39 @@ def test_cosmology_uncertainty_margin_rejects_c_zero():
         dyn.CosmologyParams(ell=-1.0).uncertainty_margin(0.5, 1.0)
 
 
+def _cosmology_order2_state(gamma, kappa, g02, g12, g22):
+    model = ClassicalHamiltonian(kind="cosmology", gamma=gamma, kappa=kappa, E=1.0)
+    s0 = SemiclassicalState(1.0, {"c": -0.5, "p": 1.0}, {G(0, 2): g02, G(1, 2): g12, G(2, 2): g22}, 2)
+    return generate_eom(expand_quantum_hamiltonian(model, 2)), s0
+
+
+def test_integrate_uncertainty_bound_carries_the_bracket_scale():
+    # {c, p} = gamma kappa / 3, so the order-2 bound is (hbar gamma kappa / 3)^2 / 4:
+    # 0.09 passes at gamma = kappa = 1 (bound 1/36), and 1 fails at 3 (bound 9/4)
+    system, s0 = _cosmology_order2_state(1.0, 1.0, 0.3, 0.0, 0.3)
+    dyn.integrate(system, s0, (0.0, 0.01), n_samples=3)
+    system, s0 = _cosmology_order2_state(3.0, 3.0, 1.0, 0.0, 1.0)
+    with pytest.raises(StateError, match="order-2 uncertainty"):
+        dyn.integrate(system, s0, (0.0, 0.01), n_samples=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.2, 5), kappa=st.floats(0.2, 5), hbar=st.floats(0.05, 2),
+       c=st.floats(0.1, 2) | st.floats(-2, -0.1), p=st.floats(0.1, 4),
+       g0=st.floats(0, 0.5), g32=st.floats(-0.5, 0.5), g3=st.floats(0, 0.5))
+def test_moment_margin_is_the_cosmology_margin(gamma, kappa, hbar, c, p, g0, g32, g3):
+    # the order-2 moment margin with {c, p} = gamma kappa / 3 is the bound on
+    # the g constants times 9 e^{3x} c^2 p^2; the tolerance is relative to the
+    # terms, as the margin may cancel them
+    params = dyn.CosmologyParams(gamma=gamma, kappa=kappa, hbar=hbar, g0=g0, g32=g32, g3=g3)
+    s0 = SemiclassicalState(hbar, {"c": c, "p": p}, dyn.cosmology_moments(params, c, p), 2)
+    scale = ClassicalHamiltonian(kind="cosmology", gamma=gamma, kappa=kappa).bracket_scale
+    margin = check_uncertainty_order2(s0, scale)
+    expected = 9 * params._e3x2(c, p) ** 2 * c**2 * p**2 * params.uncertainty_margin(c, p)
+    terms = abs(s0.G(0, 2) * s0.G(2, 2)) + s0.G(1, 2) ** 2 + (hbar * scale) ** 2 / 4
+    assert margin == pytest.approx(expected, rel=1e-9, abs=1e-9 * terms)
+
+
 def test_cosmology_series_vs_direct_half_factor():
     params = dyn.CosmologyParams(g0=0.02, g32=0.005, g3=0.01, hbar=1e-3)
     c, p = -0.3, 2.0
@@ -388,7 +421,7 @@ def test_cosmology_moment_rates_are_transport():
     rates = dyn.cosmology_moment_rates(params, c, p)
     for idx, vp in plus.items():
         fd = (vp - minus[idx]) / (2 * eps)
-        assert rates[idx.column_label()] == pytest.approx(fd, rel=1e-6)
+        assert rates[str(idx)] == pytest.approx(fd, rel=1e-6)
 
 
 def test_cosmology_moment_rates_vs_direct():

@@ -293,35 +293,35 @@ def test_listing_text_deterministic():
     b = _harmonic_system(3).listing_text()
     assert a == b
     assert a.splitlines()[1].startswith("d/dt q")
-    assert "d/dt G[0,2]" in a or "d/dt G_0_2" in a or "G" in a
+    assert "d/dt G_0_2 = " in a
 
 
 # sha256 of (listing_text, listing_json); a change in term order, coefficient
 # arithmetic or formatting shows here
 LISTING_SHA256 = {
     ("quartic", 8, "zero"): (
-        "797d110efad821a0e829242dae2300803cc4da54b50d6d9b7ccee6dea6fa913f",
-        "c7c3694ef75caaba3f407537d6c619feb1ad3f7af9b51ab0bd3e4bd50e1377bc"),
+        "075068d89f2a28f72556daf8e14faa2e9d2864ccdc7d8f3397c2e3d139b7c367",
+        "fb66c4cb90eaf5cc8060a73971d27f5c340b6bce1b35ff95fbdf8ed92b89124b"),
     ("quartic", 8, "gaussian-factorize"): (
-        "8a6a56ddabae2ba73e92e2ea6f661618110736f55a917d83170af5c9bb1ea130",
-        "85b964d3aefd6696a61bab3216df83d494cd4060d44a5d420b700e1cd8d2cb4b"),
+        "7b86841927ed6548c6c2aa60c7f76edd21ed66b87a9b4f7bef498cfe0a4bbefa",
+        "07c16a337a8a6b193915d327c4a5d524f60602bb7ba7bf7f0a99f9853dd95dca"),
     ("cosmology", 4, "zero"): (
-        "8b738dc7893c9ff69099829a1907081da96ff1387cf75dfcf0ad511d33f88a14",
-        "e838f502436da7aa949aab66fd1a8bdce177faa8213e7d07861551d24ebe809d"),
+        "e9acc634637d0b54092fa3da3f4de00691a71ea2ce98fa6eae5d65951cdc2f98",
+        "31034f14bb5f9319de77d7220805e863743806e1cf76b5f7fcda2610ae59b9c0"),
     ("cosmology", 4, "gaussian-factorize"): (
-        "b2d0961a5a25d7fca3a4178be568864c147bab89b8827f4a69835ddbf2ca63d1",
-        "0f4ac09ebed9d19128fcfcdf8c6642644a7891d645557e5ffb71576439643ad1"),
+        "50a81ef01bee74dbb3ceae1ebe8363a8602523c744f4d68cddc27e81175dfc0c",
+        "6e0aaeae42abfb1afa34d49d817d904cb14be86fd470f384703af509eb6f9adb"),
     # the top order of the derive benchmark, and Fraction exponents with
     # float coefficients under a closure that multiplies them out
     ("quartic", 12, "zero"): (
-        "00694c6d8d79bc0f4caad40f15c60356df66d2ef94153372e720816474c62d80",
-        "f3ba0ca05b313800ed5c9b97e86b8633675673edde5c5ac7dd504b8563a488da"),
+        "91d1b4fa1f5c9efb2241cdd4c035a9754dd656424c0361c38bbf80d491944e16",
+        "e6894ed2c13cf3d52199d9d9a9e7c1fea04b6f17c7d17980740f97443dfc7a3e"),
     ("quartic", 12, "gaussian-factorize"): (
-        "d244d94954b2a78f76155bb7a4aa6e02e363acce0bb1af0ec629e90cfc0896ee",
-        "a909218898718b0742206fb3d91685da5c03d2d3967bab743530f70fe7aecc6a"),
+        "5cbce65f1e96239f663a3c6ee8f0840e0d7e360f0ca6ace896d8f64b8fcf65c7",
+        "d773f6414d4797f873dc15a61953dcc6baf0860eb1a1b6a0a51831d6c5634f24"),
     ("cosmology", 6, "gaussian-factorize"): (
-        "53d5617e97a8f524a2edba3f4dc5756f8c743546b8f94512d9fadff91c7f1838",
-        "c882cebe86483d00acdd1c62fea789de4819b7093d99dfed20e43a957f0b61a5"),
+        "16f370e17b2ebb376a953918694e792c9d990c160d8a079abaa2aac0f480072b",
+        "109b49ece3c927362af2ce8091a94fc0c9696fb48d33540a8b8ad28e5c56448c"),
 }
 
 
@@ -342,7 +342,7 @@ def _dumps_listing(system):
         terms = [{"coeff": str(c) if isinstance(c, Fraction) else c, "hbar_power": str(h),
                   "x": [[sym, str(e)] for sym, e in x], "moments": [str(g) for g in gs]}
                  for c, h, x, gs in system.rhs[var].terms()]
-        eqs.append({"variable": var if isinstance(var, str) else str(var), "terms": terms})
+        eqs.append({"variable": str(var), "terms": terms})
     meta = {"model": system.model.kind, "n_max": system.n_max, "closure": system.closure}
     return json.dumps({"meta": meta, "equations": eqs}, indent=2, sort_keys=True)
 

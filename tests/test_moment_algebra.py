@@ -44,7 +44,8 @@ def test_index_shorthand_and_order():
     idx = G(1, 3)
     assert idx.q_powers == (2,) and idx.p_powers == (1,)
     assert idx.order == 3 and idx.p_power == 1
-    assert idx.column_label() == "G_1_3"
+    assert str(idx) == "G_1_3"
+    assert str(MomentIndex((1, 0), (0, 2))) == "G_1_0_0_2"
 
 
 def test_index_invalid():
