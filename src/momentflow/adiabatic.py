@@ -223,7 +223,7 @@ def solve_effective(
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # moments past the float range: inf
         for q, qd in run.y:
-            g = _adiabatic(q, qd, _qddot(q, qd, config, H, hbar), 2, config, H)
+            g = _adiabatic(q, qd, _qddot(q, qd, config, H, hbar), config.e, config, H)
             rows.append([q, qd, *(from_dimensionless(g[a], a, 2, m, w, hbar) for a in range(3))])
     return run.trajectory(
         np.array(rows), ["q", "qdot", "G_0_2", "G_1_2", "G_2_2"], hbar, rtol, atol,

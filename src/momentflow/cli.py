@@ -5,6 +5,9 @@ Every config key, its default and its rule are declared once, in
 ``CONFIG_SCHEMA`` (and ``INITIAL_SCHEMA`` for the keys of each
 ``initial.kind``).  Each override flag sets the config key that ``FLAGS``
 maps it to (``--nmax`` sets ``n_max``), with the type of that key's default.
+Each subcommand is declared once, in ``COMMANDS``: the keys it reads, whose
+flags alone it takes, and the models and initial kinds it runs.  A config
+file may set keys that a subcommand does not read.
 
 A run that stops before t1 (a domain guard, an adiabatic breakdown or a
 step-size collapse) exits 2: ``simulate`` and ``adiabatic`` still write the
@@ -26,6 +29,7 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -259,24 +263,15 @@ def _write_trajectory(traj, cfg: dict, stem: str) -> list[str]:
     os.makedirs(cfg["out"], exist_ok=True)
     traj.meta["config"] = cfg
     traj.meta["version"] = VERSION
-    paths = []
-    if cfg["format"] == "csv":
-        path = os.path.join(cfg["out"], stem + ".csv")
-        traj.to_csv(path)
-        paths.append(path)
-        meta_path = os.path.join(cfg["out"], stem + ".meta.json")
-        with open(meta_path, "w") as fh:
-            json.dump(
-                {"labels": traj.labels, "complete": traj.complete, "stats": traj.stats,
-                 "meta": traj.meta},
-                fh, indent=2, sort_keys=True,
-            )
-        paths.append(meta_path)
-    else:
-        path = os.path.join(cfg["out"], stem + ".json")
-        traj.to_json(path)
-        paths.append(path)
-    return paths
+    path = os.path.join(cfg["out"], stem)
+    if cfg["format"] == "json":
+        traj.to_json(path + ".json")
+        return [path + ".json"]
+    traj.to_csv(path + ".csv")
+    with open(path + ".meta.json", "w") as fh:
+        json.dump({"labels": traj.labels, "complete": traj.complete, "stats": traj.stats,
+                   "meta": traj.meta}, fh, indent=2, sort_keys=True)
+    return [path + ".csv", path + ".meta.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +299,11 @@ def cmd_simulate(cfg: dict) -> int:
     ))
 
 
-def _coherent_start(cfg: dict, command: str) -> tuple[float, float]:
-    """(q0, p0) of the initial state, which ``command`` reads as coherent."""
-    init = cfg["initial"]
-    if init["kind"] != "coherent":
-        raise ConfigError(f"{command} supports initial.kind 'coherent' only, got {init['kind']!r}")
-    return float(init["q0"]), float(init["p0"])
-
-
 def cmd_adiabatic(cfg: dict) -> int:
     model = build_model(cfg)
-    if model.kind != "oscillator" or model.omega <= 0:
-        raise ConfigError("adiabatic solver needs an oscillator model with omega > 0")
-    q0, p0 = _coherent_start(cfg, "adiabatic")
+    if model.omega <= 0:
+        raise ConfigError("adiabatic solver needs omega > 0")
+    q0, p0 = float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"])
     return _run_and_write(cfg, "adiabatic", solve_effective(
         AdiabaticConfig(), model, cfg["hbar"], q0, p0 / model.m,
         (cfg["t0"], cfg["t1"]), n_samples=cfg["samples"],
@@ -344,9 +331,7 @@ def cmd_compare(cfg: dict) -> int:
     from . import oracle as orc
 
     model = build_model(cfg)
-    if model.kind != "oscillator":
-        raise ConfigError("compare needs a model within oracle coverage (not cosmology)")
-    q0, p0 = _coherent_start(cfg, "compare")
+    q0, p0 = float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"])
     # an input that overflows the displacement's generator is a domain error;
     # one that overflows the moments gives a non-finite initial state, which
     # integrate rejects before any sample is propagated
@@ -446,13 +431,11 @@ def cmd_order_check(cfg: dict) -> int:
         emb = HarmonicCoherentEmbedding(model)
     elif cfg["model"] == "quartic":
         emb = AdiabaticEmbedding(model)
-    elif cfg["model"] == "free":
+    else:
         consts = coherent_free_constants(1.0, 1.0, cfg["m"], _reference_omega(cfg), 1.0)
         g2 = free_particle_moments(consts, 1.0, 1.0, 2)
         emb = FreeConstantEmbedding(model, {idx: g2[idx.p_power] for idx in moment_vars(2)})
-    else:
-        raise ConfigError("order-check supports harmonic, quartic, free")
-    result = order_check(emb, model, hbars, n_max=cfg["n_max"])
+    result = order_check(emb, model, hbars, n_max=cfg["n_max"], closure=cfg["closure"])
     if cfg["format"] == "json":
         print(json.dumps({
             "exact": result.exact, "slope": result.slope,
@@ -475,12 +458,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+#: a subcommand: its function, the config keys it reads, and the models and
+#: initial kinds it runs (none if it reads no model or initial)
+Command = namedtuple("Command", "run keys models kinds", defaults=((), ()))
+#: subcommand -> Command; the parser gives a subcommand the flags of the keys
+#: it reads, and main refuses a model, initial.kind or dof outside its row
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "adiabatic": cmd_adiabatic,
-    "order-check": cmd_order_check,
-    "brackets": cmd_brackets,
+    "simulate": Command(cmd_simulate, frozenset(CONFIG_SCHEMA) - {"dof", "oracle_dim"},
+                        MODELS, tuple(INITIAL_SCHEMA)),
+    "compare": Command(cmd_compare, frozenset(CONFIG_SCHEMA) - {
+        "format", "dof", "gamma", "kappa", "E", "ell", "g0", "g32", "g3"},
+        ("harmonic", "free", "quartic"), ("coherent",)),
+    "adiabatic": Command(cmd_adiabatic, frozenset(
+        "model m omega delta hbar initial t0 t1 samples out format".split()),
+        ("harmonic", "quartic"), ("coherent",)),
+    "order-check": Command(cmd_order_check, frozenset(
+        "model m omega delta n_max closure format".split()), ("harmonic", "free", "quartic")),
+    "brackets": Command(cmd_brackets, frozenset({"n_max", "dof", "format"})),
+    "uncertainty": Command(cmd_uncertainty, frozenset({"hbar", "format"})),
 }
 
 
@@ -488,11 +483,12 @@ def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="momentflow", description=__doc__)
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*COMMANDS, "uncertainty"):
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         for flag, key in FLAGS.items():
-            p.add_argument(flag, dest=key, type=type(CONFIG_SCHEMA[key][0]), default=None)
+            if key in command.keys:
+                p.add_argument(flag, dest=key, type=type(CONFIG_SCHEMA[key][0]), default=None)
         if name == "brackets":
             p.add_argument("pos_n_max", metavar="nmax", type=int, nargs="?", default=None)
             p.add_argument("pos_dof", metavar="dof", type=int, nargs="?", default=None)
@@ -503,16 +499,20 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    flags = [(key, getattr(args, key)) for key in FLAGS.values()]
+    flags = [(key, getattr(args, key, None)) for key in FLAGS.values()]
     # brackets' positional nmax and dof come last, so they beat --nmax
     flags += [(key, getattr(args, "pos_" + key, None)) for key in ("n_max", "dof")]
+    command = COMMANDS[args.command]
     try:
         cfg = load_config(args.config, {key: val for key, val in flags if val is not None})
-        if cfg["dof"] != 1 and args.command != "brackets":
-            raise ConfigError(f"dof {cfg['dof']} is read by brackets only; {args.command} runs one DOF")
-        if args.command == "uncertainty":
-            return cmd_uncertainty(cfg, args.state_file)
-        return COMMANDS[args.command](cfg)
+        name, kind = args.command, cfg["initial"]["kind"]
+        if "model" in command.keys and cfg["model"] not in command.models:
+            raise ConfigError(f"{name} runs model {'/'.join(command.models)}, got {cfg['model']!r}")
+        if "initial" in command.keys and kind not in command.kinds:
+            raise ConfigError(f"{name} needs initial.kind {'/'.join(command.kinds)}, got {kind!r}")
+        if "dof" not in command.keys and cfg["dof"] != 1:
+            raise ConfigError(f"{name} runs one DOF, got dof {cfg['dof']}")
+        return command.run(cfg, *([args.state_file] if "state_file" in args else []))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

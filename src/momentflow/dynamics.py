@@ -680,7 +680,7 @@ _CHECK_POINTS = ((1.0, 0.0), (0.6, 0.5), (0.2, -0.8))
 _EXACT_FLOOR = 1e-13
 
 
-def order_check(embedding, model, hbars, n_max: int = 3) -> OrderCheckResult:
+def order_check(embedding, model, hbars, n_max: int = 3, closure: str = "zero") -> OrderCheckResult:
     """Fit the hbar-scaling exponent of the flow mismatch X_H - iota_* X_eff.
 
     The mismatch is the Euclidean norm over the back-reaction components of
@@ -695,7 +695,7 @@ def order_check(embedding, model, hbars, n_max: int = 3) -> OrderCheckResult:
     if len(hbars) < 4 or hbars[-1] / hbars[0] < 99:
         raise RangeError("need >= 4 hbar values spanning >= 2 decades")
     n_top = n_max + 2
-    system = generate_eom(expand_quantum_hamiltonian(model, n_top))
+    system = generate_eom(expand_quantum_hamiltonian(model, n_top), closure)
 
     norms = []
     for hbar in hbars:

@@ -13,6 +13,7 @@ from momentflow.hamiltonian import (
     ClassicalHamiltonian,
     PotentialSpec,
     expand_quantum_hamiltonian,
+    from_dimensionless,
     generate_eom,
 )
 
@@ -228,6 +229,27 @@ def test_solve_effective_quartic_moments_move():
     g02 = traj.column("G_0_2")
     assert g02.max() - g02.min() > 1e-3
     assert np.ptp(traj.column("G_1_2")) > 1e-4
+
+
+def test_solve_effective_honours_the_adiabatic_order():
+    # the order e sets which corrections the moments carry, not the
+    # trajectory: e = 0 is the leading order, e = 1 adds G1 to G_1_2 only,
+    # and e = 2 adds G2 to G_0_2 and G_2_2
+    H = _quartic_model(0.1)
+    runs = {e: adi.solve_effective(adi.AdiabaticConfig(e=e), H, 1.0, 1.0, 0.3, (0.0, 3.0),
+                                   n_samples=31) for e in (0, 1, 2)}
+    lead = runs[0]
+    for e, traj in runs.items():
+        assert traj.complete and traj.meta["e"] == e
+        assert np.array_equal(traj.y[:, :2], lead.y[:, :2])
+    assert np.all(lead.column("G_1_2") == 0.0)
+    g0 = [from_dimensionless(adi.g0_moments(q, 2, 0, adi.AdiabaticConfig(), H), 0, 2, 1.0, 1.0, 1.0)
+          for q in lead.column("q")]
+    assert np.array_equal(lead.column("G_0_2"), g0)
+    for label, changed in (("G_0_2", False), ("G_1_2", True), ("G_2_2", False)):
+        assert np.array_equal(runs[1].column(label), lead.column(label)) != changed
+    for label, changed in (("G_0_2", True), ("G_1_2", False), ("G_2_2", True)):
+        assert np.array_equal(runs[2].column(label), runs[1].column(label)) != changed
 
 
 def test_solve_effective_breakdown_incomplete():

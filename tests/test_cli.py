@@ -133,14 +133,15 @@ def test_missing_config_file_exits_3(tmp_path):
 def test_non_integer_config_exits_3(tmp_path, capsys, data, key):
     """Each bad input is named in a config error; a list is a command line,
     where {cfg} is a config holding {"t1": 0}, and a tuple a subcommand
-    with its config."""
+    with its config (and --out if the subcommand reads out)."""
     cfg = tmp_path / "cfg.json"
     if isinstance(data, list):
         cfg.write_text(json.dumps({"t1": 0}))
         argv = [arg.format(cfg=cfg, out=tmp_path) for arg in data]
     elif isinstance(data, tuple):
         cfg.write_text(json.dumps(data[1]))
-        argv = [data[0], "--config", str(cfg), "--out", str(tmp_path)]
+        out = ["--out", str(tmp_path)] if "out" in cli.COMMANDS[data[0]].keys else []
+        argv = [data[0], "--config", str(cfg), *out]
     else:
         cfg.write_text(json.dumps(data))
         argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path)]
@@ -250,7 +251,7 @@ def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
     def broken(cfg):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli.COMMANDS, "simulate", broken)
+    monkeypatch.setitem(cli.COMMANDS, "simulate", cli.COMMANDS["simulate"]._replace(run=broken))
     assert cli.main(["simulate", "--out", str(tmp_path)]) == 5
     err = capsys.readouterr().err
     assert "internal error: RuntimeError: boom" in err and "Traceback" not in err
@@ -388,6 +389,138 @@ def test_zero_hbar_exits_3(tmp_path, capsys):
     assert cli.main(["simulate", "--hbar", "0", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "config error" in err and "hbar" in err and "Traceback" not in err
+
+
+# -- one row per command ----------------------------------------------------
+
+
+class _Recording(dict):
+    """A config that records every key read from it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+#: a non-default value of every key but dof, which only brackets accepts
+#: at other than 1: a command must run whatever its unread keys hold
+_UNREAD = {"model": "cosmology", "m": 2.0, "omega": 0.5, "delta": 0.3, "hbar": 0.5,
+           "gamma": 2.0, "kappa": 2.0, "E": 2.0, "ell": 2.0, "g0": 2.0, "g32": 0.5, "g3": 2.0,
+           "n_max": 4, "closure": "gaussian-factorize", "rtol": 1e-3, "atol": 1e-3,
+           "initial": {"kind": "squeezed", "g": [[0.1, 0.0], [0.0, 0.1]]}, "t0": 1.0, "t1": 3.0,
+           "samples": 500, "oracle_dim": 700, "out": "unread", "format": "json"}
+#: the values a command reads in a short run
+_SHORT = {"n_max": 2, "t0": 0.0, "t1": 0.01, "samples": 3, "oracle_dim": 40,
+          "initial": {"kind": "coherent", "q0": -0.5, "p0": 1.0}}
+#: a valid initial object of each kind
+_STARTS = {"coherent": {"kind": "coherent"},
+           "squeezed": {"kind": "squeezed", "g": [[0.1, 0.0], [0.0, 0.1]]},
+           "moments": {"kind": "moments"}}
+
+
+def _operands(name, tmp_path):
+    if name != "uncertainty":
+        return []
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"moments": {"G_0_2": 0.5, "G_1_2": 0.0, "G_2_2": 0.5}}))
+    return [str(path)]
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_each_command_reads_the_keys_of_its_row(tmp_path, monkeypatch, capsys, name):
+    # over the models of its row, a command reads exactly the keys of its
+    # row, and a config that sets every other key (but dof) still runs
+    command = cli.COMMANDS[name]
+    configs = []
+
+    def recording(cfg, *operands):
+        configs.append(_Recording(cfg))
+        return command.run(configs[-1], *operands)
+
+    monkeypatch.setitem(cli.COMMANDS, name, command._replace(run=recording))
+    monkeypatch.chdir(tmp_path)
+    for model in command.models or [None]:
+        data = {key: val for key, val in _UNREAD.items() if key not in command.keys}
+        data.update((key, val) for key, val in {**_SHORT, "out": str(tmp_path)}.items()
+                    if key in command.keys)
+        if model:
+            data["model"] = model
+        (tmp_path / "cfg.json").write_text(json.dumps(data))
+        assert cli.main([name, "--config", "cfg.json", *_operands(name, tmp_path)]) == 0, model
+    assert set().union(*(cfg.read for cfg in configs)) == command.keys
+    assert not (tmp_path / "unread").exists()
+
+
+_FLAG_VALUES = {"--model": "quartic", "--out": "x", "--hbar": "0.5", "--nmax": "4",
+                "--oracle-dim": "16", "--format": "json"}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_each_command_takes_the_flags_of_its_row(tmp_path, capsys, name):
+    operands = _operands(name, tmp_path)
+    for flag, key in cli.FLAGS.items():
+        argv = [name, f"{flag}={_FLAG_VALUES[flag]}", *operands]
+        if key in cli.COMMANDS[name].keys:
+            value = cli.make_parser().parse_args(argv).__dict__[key]
+            assert value == type(cli.CONFIG_SCHEMA[key][0])(_FLAG_VALUES[flag])
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 3
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_a_config_outside_the_row_exits_3(tmp_path, capsys, name):
+    # a model or initial.kind the command does not run, or dof 2 where dof
+    # is not read, is a config error naming it, before anything is written
+    command = cli.COMMANDS[name]
+    cases = [({"dof": 2}, "dof")] if "dof" not in command.keys else []
+    if "model" in command.keys:
+        cases += [({"model": m}, "model") for m in cli.MODELS if m not in command.models]
+    if "initial" in command.keys:
+        cases += [({"initial": start}, "initial.kind")
+                  for kind, start in _STARTS.items() if kind not in command.kinds]
+    for data, words in cases:
+        (tmp_path / "cfg.json").write_text(json.dumps({**data, "out": str(tmp_path / "out")}))
+        assert cli.main([name, "--config", str(tmp_path / "cfg.json"),
+                         *_operands(name, tmp_path)]) == 3, data
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and words in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def _commands_table():
+    """README's table of COMMANDS: a command reading most keys lists the
+    keys it does not read."""
+    def cell(names):
+        return " ".join(f"`{name}`" for name in names) or "none"
+
+    lines = ["| command | keys read | flags | models | initial kinds |",
+             "|---|---|---|---|---|"]
+    for name, command in cli.COMMANDS.items():
+        read = [key for key in cli.CONFIG_SCHEMA if key in command.keys]
+        unread = [key for key in cli.CONFIG_SCHEMA if key not in command.keys]
+        keys = cell(read) if len(read) <= len(unread) else "all but " + cell(unread)
+        flags = [flag for flag, key in cli.FLAGS.items() if key in command.keys]
+        lines.append(f"| `{name}` | {keys} | {cell(flags)} | {cell(command.models)} "
+                     f"| {cell(command.kinds)} |")
+    return "\n".join(lines) + "\n"
+
+
+def test_readme_table_and_help_list_each_row():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        assert _commands_table() in fh.read()
+    for name, command in cli.COMMANDS.items():
+        with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit) as exc:
+            cli.main([name, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", out.getvalue())) - {"--help", "--config"}
+        assert listed == {flag for flag, key in cli.FLAGS.items() if key in command.keys}
 
 
 # -- simulate ----------------------------------------------------------------
@@ -744,6 +877,20 @@ def test_order_check_quartic_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert not payload["exact"]
     assert 1.8 <= payload["slope"] <= 2.2
+
+
+def test_order_check_reads_closure(tmp_path, capsys):
+    # the gaussian-factorize closure changes the top-order equations, so the
+    # mismatches, but not the order of the truncation
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "quartic", "closure": "gaussian-factorize"}))
+    runs = []
+    for argv in (["--config", str(cfg)], ["--model", "quartic"]):
+        assert cli.main(["order-check", *argv, "--format", "json"]) == 0
+        runs.append(json.loads(capsys.readouterr().out))
+    closed, zero = runs
+    assert all(a != b for a, b in zip(closed["mismatches"], zero["mismatches"]))
+    assert 1.8 <= closed["slope"] <= 2.2
 
 
 @pytest.mark.parametrize("model, digest", [
