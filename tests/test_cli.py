@@ -561,6 +561,39 @@ def test_simulate_csv_deterministic(tmp_path):
     assert filecmp.cmp(d1 / "trajectory.csv", d2 / "trajectory.csv", shallow=False)
 
 
+#: a start of each kind off the origin; the moments start sets an order-3 moment too
+_PIN_STARTS = {
+    "coherent": {"kind": "coherent", "q0": 0.7, "p0": -0.4},
+    "squeezed": {"kind": "squeezed", "q0": 0.7, "p0": -0.4, "g": [[0.3, 0.1], [0.1, -0.2]]},
+    "moments": {"kind": "moments", "q0": 0.7, "p0": -0.4,
+                "values": {"G_0_2": 0.6, "G_1_2": 0.1, "G_2_2": 0.9, "G_0_3": 0.05}},
+}
+
+
+@pytest.mark.parametrize("model, omega, kind, digest", [
+    ("harmonic", 2.0, "coherent", "96e998111e447dbf63410a1522fe8ab1181bf27127a935ea87cd0ad567fd58f3"),
+    ("harmonic", 2.0, "squeezed", "715a455b394dc955ed1ae44e7159c5a6a2ccdcf0aee9228fcb17870df7c38a94"),
+    ("harmonic", 2.0, "moments", "911d4025d6762ea6c02137beed2eef5bb1b28430d7c23f7b92bc053ee69209b3"),
+    ("free", 2.0, "coherent", "e002b41f3aaa6191575fa87d385301b00a99b121b0aa71e91601aee0edd41f3b"),
+    ("free", 2.0, "squeezed", "2049119ba5aa8ed85744ccfa1e2c6c2c847a068bdade10637aef26d651ef6e3f"),
+    ("free", 2.0, "moments", "58ac735f49d6c44ab444a44e67d6072ba83e9126b3dc2732bd4fc0c8f029d5f1"),
+    ("quartic", 2.0, "coherent", "89d9efe857a1545b9a9c4f41286ca098fc273139937cb5e8291b087a558a6545"),
+    ("quartic", 2.0, "squeezed", "f29324420028f7086484623de37ef8601542d326afa190755db1b13a95c2b2ce"),
+    ("quartic", 2.0, "moments", "8b3ca852fd49c67ba8390af2965ae46868a1054dc43bbb080151208b094f7800"),
+    # at omega = 0 the Gaussian width is 1: the free particle, and the pure quartic
+    ("free", 0.0, "coherent", "de4ae12e9c43bd2c0294fcd7070ce766adc3a07237952dd48c88732e09c3cdad"),
+    ("quartic", 0.0, "coherent", "389412027a065c890a0be4749ca644add693a2534fe69e7325b7ed4c8023f365"),
+])
+def test_simulate_csv_bytes_pinned(tmp_path, model, omega, kind, digest):
+    # m and omega differ from 1, so the squeezed start's (m omega) scaling and
+    # the free model's width (omega, or 1 at omega = 0) reach these bytes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model, "m": 1.5, "omega": omega, "t1": 1.0, "samples": 11,
+                               "initial": _PIN_STARTS[kind]}))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest() == digest
+
+
 def test_simulate_cosmology_partial_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -737,6 +770,46 @@ def test_compare_harmonic_small(tmp_path, capsys):
     report = json.loads((tmp_path / "compare.json").read_text())
     assert report["errors"]["q"]["max"] < 1e-6
     assert report["errors"]["G_0_2"]["max"] < 1e-6
+
+
+@pytest.mark.parametrize("model, omega, table", [
+    ("harmonic", 2.0, """\
+G_0_2    max 1.387779e-16  rms 7.390966e-17
+G_1_2    max 7.085935e-16  rms 3.385369e-16
+G_2_2    max 2.220446e-15  rms 1.176855e-15
+p        max 1.004032e-08  rms 6.091355e-09
+q        max 2.703898e-09  rms 1.323090e-09"""),
+    ("free", 2.0, """\
+G_0_2    max 7.025106e-06  rms 2.140144e-06
+G_1_2    max 2.321791e-05  rms 7.087504e-06
+G_2_2    max 7.327472e-15  rms 3.655929e-15
+p        max 3.719247e-15  rms 2.615726e-15
+q        max 3.865613e-06  rms 1.180874e-06"""),
+    ("quartic", 2.0, """\
+G_0_2    max 2.277619e-04  rms 1.565834e-04
+G_1_2    max 3.432531e-04  rms 2.244096e-04
+G_2_2    max 2.069647e-03  rms 1.424845e-03
+p        max 3.606661e-06  rms 2.340054e-06
+q        max 1.256360e-06  rms 5.827199e-07"""),
+    # the pure quartic: the Fock basis takes width 1
+    ("quartic", 0.0, """\
+G_0_2    max 5.744687e-03  rms 2.534372e-03
+G_1_2    max 1.217682e-02  rms 5.854683e-03
+G_2_2    max 1.124228e-02  rms 5.030510e-03
+p        max 1.280698e-04  rms 5.257694e-05
+q        max 1.984461e-05  rms 7.626565e-06"""),
+])
+def test_compare_table_pinned(tmp_path, capsys, model, omega, table):
+    # the oracle's basis and operator and the start it propagates reach this
+    # table; the last stdout line is the path of compare.json
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model, "m": 1.5, "omega": omega, "t1": 1.0, "samples": 11,
+                               "oracle_dim": 40, "initial": _PIN_STARTS["coherent"]}))
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"# moment dynamics vs oracle, model={model}"
+    assert "\n".join(out[1:-1]) == table
+    assert out[-1] == str(tmp_path / "compare.json")
 
 
 def test_compare_quartic_nmax_10(tmp_path):
