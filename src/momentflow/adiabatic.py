@@ -73,6 +73,9 @@ def _u(q: float, H: ClassicalHamiltonian, order: int = 0) -> list[float]:
     """[u, u', u'', ...] through the order-th derivative, with u = U''/m w^2
     and derivatives with respect to q."""
     mw2 = H.m * H.omega**2
+    if mw2 == 0:
+        raise ConfigError(f"the adiabatic expansion needs m * omega^2 > 0, got m = {H.m!r}, "
+                          f"omega = {H.omega!r}")
     return [H.potential.derivative(q, 2 + i) / mw2 for i in range(order + 1)]
 
 

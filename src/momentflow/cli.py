@@ -5,9 +5,12 @@ Every config key, its default and its rule are declared once, in
 ``CONFIG_SCHEMA`` (and ``INITIAL_SCHEMA`` for the keys of each
 ``initial.kind``).  Each override flag sets the config key that ``FLAGS``
 maps it to (``--nmax`` sets ``n_max``), with the type of that key's default.
-Each subcommand is declared once, in ``COMMANDS``: the keys it reads, whose
-flags alone it takes, and the models and initial kinds it runs.  A config
-file may set keys that a subcommand does not read.
+Each model is declared once, in ``MODELS``: how it is built, its keys and
+defaults, the initial kinds it honours, its order-check embedding and its
+oracle operator.  Each subcommand is declared once, in ``COMMANDS``: its own
+keys, whose flags alone it takes, and the models and initial kinds it runs.
+A subcommand is handed its own keys and its model's, which ``meta.json`` and
+``compare.json`` record; a config file may set keys that it does not read.
 
 A run that stops before t1 (a domain guard, an adiabatic breakdown or a
 step-size collapse) exits 2: ``simulate`` and ``adiabatic`` still write the
@@ -69,8 +72,6 @@ from .moment_algebra import (
 )
 from .states import SqueezeMatrix, squeezed_moment
 
-MODELS = ("harmonic", "free", "quartic", "cosmology")
-
 # ---------------------------------------------------------------------------
 # configuration schema: key -> (default, rule, words); a value v passes when
 # rule(v) is true, otherwise the config error reads "<key> must be <words>"
@@ -107,6 +108,79 @@ MOMENTS = (
     lambda v: isinstance(v, dict)
     and all(_moment_index(k) is not None and _number(x) for k, x in v.items())
 ), "an object mapping labels G_a_n (0 <= a <= n, n >= 2) to finite numbers"
+
+# ---------------------------------------------------------------------------
+# models: each start maps the config to the moments it sets, the others 0
+
+
+def _width(cfg: dict) -> float:
+    """Width of the oscillator Gaussians (starts, Fock basis, free embedding): omega, or 1 at 0."""
+    w = cfg["omega"] or 1.0
+    if cfg["m"] * w == 0:
+        raise ConfigError(f"m * omega underflows to 0 (m = {cfg['m']!r}, omega = {cfg['omega']!r})")
+    return w
+
+
+def _coherent(cfg: dict) -> dict:
+    return coherent_moments(cfg["n_max"], cfg["m"], _width(cfg), cfg["hbar"])
+
+
+def _squeezed(cfg: dict) -> dict:
+    g, mw = SqueezeMatrix(cfg["initial"]["g"]), cfg["m"] * _width(cfg)
+    # states module works in m w = 1 units
+    return {idx: mw ** (idx.p_power - idx.order / 2) * squeezed_moment(g, idx, cfg["hbar"])
+            for idx in moment_vars(cfg["n_max"])}
+
+
+def _moments(cfg: dict) -> dict:
+    return {_moment_index(label): float(val) for label, val in cfg["initial"]["values"].items()}
+
+
+def _cosmology_coherent(cfg: dict) -> dict:
+    params = CosmologyParams(gamma=cfg["gamma"], kappa=cfg["kappa"], E=cfg["E"], hbar=cfg["hbar"],
+                             ell=cfg["ell"], g0=cfg["g0"], g32=cfg["g32"], g3=cfg["g3"])
+    return cosmology_moments(params, float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"]))
+
+
+def _free_embedding(model: ClassicalHamiltonian, cfg: dict) -> FreeConstantEmbedding:
+    g2 = free_particle_moments(coherent_free_constants(1.0, 1.0, model.m, _width(cfg), 1.0),
+                               1.0, 1.0, 2)
+    return FreeConstantEmbedding(model, {idx: g2[idx.p_power] for idx in moment_vars(2)})
+
+
+def oscillator_operator(space, model: ClassicalHamiltonian):
+    """The oracle's p^2/2m + m omega^2 q^2/2 + U(q), from the model's own parameters."""
+    Hop = space.p1 @ space.p1 / (2 * model.m)
+    if model.omega > 0:
+        Hop = Hop + 0.5 * model.m * model.omega**2 * space.q1 @ space.q1
+    for k, ck in enumerate(model.potential.coefficients):
+        if ck:
+            Hop = Hop + ck * np.linalg.matrix_power(space.q1, k)
+    return Hop
+
+
+_OSCILLATOR_STARTS = {"coherent": _coherent, "squeezed": _squeezed, "moments": _moments}
+#: a model: its Hamiltonian from the config, its config keys, its defaults of
+#: initial keys, its start for each initial.kind it honours, its order-check
+#: embedding from (Hamiltonian, config) and its Fock-space operator, or None
+Model = namedtuple("Model", "build keys defaults kinds embedding oracle")
+#: model -> Model; main refuses an initial.kind outside its row
+MODELS = {
+    "harmonic": Model(lambda cfg: ClassicalHamiltonian(m=cfg["m"], omega=cfg["omega"]),
+                      frozenset({"m", "omega"}), {}, _OSCILLATOR_STARTS,
+                      lambda model, cfg: HarmonicCoherentEmbedding(model), oscillator_operator),
+    "free": Model(lambda cfg: ClassicalHamiltonian(m=cfg["m"], omega=0.0),
+                  frozenset({"m", "omega"}), {}, _OSCILLATOR_STARTS,
+                  _free_embedding, oscillator_operator),
+    "quartic": Model(lambda cfg: ClassicalHamiltonian(
+        m=cfg["m"], omega=cfg["omega"], potential=PotentialSpec.quartic(cfg["delta"])),
+        frozenset({"m", "omega", "delta"}), {}, _OSCILLATOR_STARTS,
+        lambda model, cfg: AdiabaticEmbedding(model), oscillator_operator),
+    "cosmology": Model(lambda cfg: ClassicalHamiltonian(
+        kind="cosmology", gamma=cfg["gamma"], kappa=cfg["kappa"], E=cfg["E"]),
+        frozenset({"gamma", "kappa", "E", "ell", "g0", "g32", "g3"}), {"p0": 1.0},
+        {"coherent": _cosmology_coherent, "moments": _moments}, None, None),
+}
 
 CONFIG_SCHEMA = {
     "model": ("harmonic", *_one_of(*MODELS)),
@@ -196,67 +270,14 @@ def load_config(path: str | None, overrides: dict) -> dict:
     # a kind that is missing, unhashable or unknown fails the common kind rule
     kind = cfg["initial"].get("kind")
     schema = INITIAL_SCHEMA.get(kind if isinstance(kind, str) else None, _INITIAL_COMMON)
-    init = cfg["initial"] = _apply(schema, cfg["initial"], "initial.")
+    init = {**MODELS[cfg["model"]].defaults, **cfg["initial"]}  # given keys beat the model's
+    init = cfg["initial"] = _apply(schema, init, "initial.")
     if cfg["t1"] == cfg["t0"]:
         raise ConfigError(f"t1 must differ from t0, both are {cfg['t0']!r}")
-    if cfg["model"] != "cosmology" and cfg["m"] * _reference_omega(cfg) == 0:
-        raise ConfigError(f"m * omega underflows to 0 (m = {cfg['m']!r}, omega = {cfg['omega']!r})")
     for label in init.get("values", {}):
         if _moment_index(label).order > cfg["n_max"]:
             raise ConfigError(f"initial.values label {label} exceeds n_max={cfg['n_max']}")
     return cfg
-
-
-# ---------------------------------------------------------------------------
-# model and state construction
-
-
-def build_model(cfg: dict) -> ClassicalHamiltonian:
-    model = cfg["model"]
-    if model == "harmonic":
-        return ClassicalHamiltonian(m=cfg["m"], omega=cfg["omega"], potential=PotentialSpec.zero())
-    if model == "quartic":
-        return ClassicalHamiltonian(
-            m=cfg["m"], omega=cfg["omega"], potential=PotentialSpec.quartic(cfg["delta"])
-        )
-    if model == "free":
-        return ClassicalHamiltonian(m=cfg["m"], omega=0.0, potential=PotentialSpec.zero())
-    return ClassicalHamiltonian(
-        kind="cosmology", gamma=cfg["gamma"], kappa=cfg["kappa"], E=cfg["E"]
-    )
-
-
-def _reference_omega(cfg: dict) -> float:
-    # free model has no frequency; the initial Gaussian width still needs one
-    return cfg["omega"] if cfg["omega"] > 0 else 1.0
-
-
-def initial_state(cfg: dict, model: ClassicalHamiltonian) -> SemiclassicalState:
-    hbar = cfg["hbar"]
-    init = cfg["initial"]
-    n_max = cfg["n_max"]
-    q0, p0 = float(init["q0"]), float(init["p0"])
-
-    if model.kind == "cosmology":
-        params = CosmologyParams(
-            gamma=cfg["gamma"], kappa=cfg["kappa"], E=cfg["E"], hbar=hbar,
-            ell=cfg["ell"], g0=cfg["g0"], g32=cfg["g32"], g3=cfg["g3"],
-        )
-        moments = {**dict.fromkeys(moment_vars(n_max), 0.0), **cosmology_moments(params, q0, p0)}
-        return SemiclassicalState(hbar, {"c": q0, "p": p0}, moments, n_max)
-
-    m, w = cfg["m"], _reference_omega(cfg)
-    if init["kind"] == "coherent":
-        moments = coherent_moments(n_max, m, w, hbar)
-    elif init["kind"] == "squeezed":
-        g = SqueezeMatrix(init["g"])
-        # states module works in m w = 1 units
-        moments = {idx: (m * w) ** (idx.p_power - idx.order / 2) * squeezed_moment(g, idx, hbar)
-                   for idx in moment_vars(n_max)}
-    else:
-        moments = dict.fromkeys(moment_vars(n_max), 0.0)
-        moments.update((_moment_index(lbl), float(val)) for lbl, val in init["values"].items())
-    return SemiclassicalState(hbar, {"q": q0, "p": p0}, moments, n_max)
 
 
 def _write_trajectory(traj, cfg: dict, stem: str) -> list[str]:
@@ -289,20 +310,19 @@ def _run_and_write(cfg: dict, stem: str, traj) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    model = build_model(cfg)
-    HQ = expand_quantum_hamiltonian(model, cfg["n_max"])
-    system = generate_eom(HQ, closure=cfg["closure"])
-    s0 = initial_state(cfg, model)
+    row, init, n_max = MODELS[cfg["model"]], cfg["initial"], cfg["n_max"]
+    model = row.build(cfg)
+    system = generate_eom(expand_quantum_hamiltonian(model, n_max), closure=cfg["closure"])
+    moments = {**dict.fromkeys(moment_vars(n_max), 0.0), **row.kinds[init["kind"]](cfg)}
+    x = dict(zip(model.xvars, (float(init["q0"]), float(init["p0"]))))
     return _run_and_write(cfg, "trajectory", integrate(
-        system, s0, (cfg["t0"], cfg["t1"]), n_samples=cfg["samples"],
-        rtol=cfg["rtol"], atol=cfg["atol"],
+        system, SemiclassicalState(cfg["hbar"], x, moments, n_max), (cfg["t0"], cfg["t1"]),
+        n_samples=cfg["samples"], rtol=cfg["rtol"], atol=cfg["atol"],
     ))
 
 
 def cmd_adiabatic(cfg: dict) -> int:
-    model = build_model(cfg)
-    if model.omega <= 0:
-        raise ConfigError("adiabatic solver needs omega > 0")
+    model = MODELS[cfg["model"]].build(cfg)
     q0, p0 = float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"])
     return _run_and_write(cfg, "adiabatic", solve_effective(
         AdiabaticConfig(), model, cfg["hbar"], q0, p0 / model.m,
@@ -310,39 +330,25 @@ def cmd_adiabatic(cfg: dict) -> int:
     ))
 
 
-def _oracle_setup(cfg: dict, model: ClassicalHamiltonian):
-    from . import oracle as orc
-
-    D = cfg["oracle_dim"]
-    if D > 600:
-        raise CapacityError(f"oracle dimension {D} exceeds the supported cap 600")
-    m, w = cfg["m"], _reference_omega(cfg)
-    space = orc.FockSpace(D, m, w, cfg["hbar"])
-    Hop = space.p1 @ space.p1 / (2 * m)
-    if model.omega > 0:
-        Hop = Hop + 0.5 * m * model.omega**2 * space.q1 @ space.q1
-    for k, ck in enumerate(model.potential.coefficients):
-        if ck:
-            Hop = Hop + ck * np.linalg.matrix_power(space.q1, k)
-    return space, Hop
-
-
 def cmd_compare(cfg: dict) -> int:
     from . import oracle as orc
 
-    model = build_model(cfg)
+    row = MODELS[cfg["model"]]
+    model = row.build(cfg)
     q0, p0 = float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"])
+    if cfg["oracle_dim"] > 600:
+        raise CapacityError(f"oracle dimension {cfg['oracle_dim']} exceeds the supported cap 600")
     # an input that overflows the displacement's generator is a domain error;
     # one that overflows the moments gives a non-finite initial state, which
     # integrate rejects before any sample is propagated
     with np.errstate(over="ignore", invalid="ignore"):
-        space, Hop = _oracle_setup(cfg, model)
+        space = orc.FockSpace(cfg["oracle_dim"], model.m, _width(cfg), cfg["hbar"])
+        Hop = row.oracle(space, model)
         vac = np.zeros(space.D, dtype=complex)
         vac[0] = 1.0
         psi0 = orc.displacement((q0, p0), space) @ vac
         st0 = orc.moments_of(psi0, space, cfg["n_max"])
-    HQ = expand_quantum_hamiltonian(model, cfg["n_max"])
-    system = generate_eom(HQ, closure=cfg["closure"])
+    system = generate_eom(expand_quantum_hamiltonian(model, cfg["n_max"]), closure=cfg["closure"])
     traj = integrate(system, st0, (cfg["t0"], cfg["t1"]), n_samples=cfg["samples"],
                      rtol=cfg["rtol"], atol=cfg["atol"])
     if not traj.complete:  # the error table needs every sample
@@ -423,19 +429,10 @@ def cmd_uncertainty(cfg: dict, state_path: str) -> int:
 
 
 def cmd_order_check(cfg: dict) -> int:
-    model = build_model(cfg)
-    hbars = np.geomspace(1e-3, 1e-1, 7)
-    if cfg["model"] in ("harmonic", "quartic") and model.omega <= 0:
-        raise ConfigError(f"order-check with the {cfg['model']} model needs omega > 0")
-    if cfg["model"] == "harmonic":
-        emb = HarmonicCoherentEmbedding(model)
-    elif cfg["model"] == "quartic":
-        emb = AdiabaticEmbedding(model)
-    else:
-        consts = coherent_free_constants(1.0, 1.0, cfg["m"], _reference_omega(cfg), 1.0)
-        g2 = free_particle_moments(consts, 1.0, 1.0, 2)
-        emb = FreeConstantEmbedding(model, {idx: g2[idx.p_power] for idx in moment_vars(2)})
-    result = order_check(emb, model, hbars, n_max=cfg["n_max"], closure=cfg["closure"])
+    row = MODELS[cfg["model"]]
+    model = row.build(cfg)
+    result = order_check(row.embedding(model, cfg), model, np.geomspace(1e-3, 1e-1, 7),
+                         n_max=cfg["n_max"], closure=cfg["closure"])
     if cfg["format"] == "json":
         print(json.dumps({
             "exact": result.exact, "slope": result.slope,
@@ -458,22 +455,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-#: a subcommand: its function, the config keys it reads, and the models and
-#: initial kinds it runs (none if it reads no model or initial)
+#: a subcommand: its function, its own config keys (it reads its model's too),
+#: and the models and initial kinds it runs (none if it reads no model or initial)
 Command = namedtuple("Command", "run keys models kinds", defaults=((), ()))
+_RUN = "model hbar initial t0 t1 samples out"  # the keys of every run from a start
 #: subcommand -> Command; the parser gives a subcommand the flags of the keys
 #: it reads, and main refuses a model, initial.kind or dof outside its row
 COMMANDS = {
-    "simulate": Command(cmd_simulate, frozenset(CONFIG_SCHEMA) - {"dof", "oracle_dim"},
-                        MODELS, tuple(INITIAL_SCHEMA)),
-    "compare": Command(cmd_compare, frozenset(CONFIG_SCHEMA) - {
-        "format", "dof", "gamma", "kappa", "E", "ell", "g0", "g32", "g3"},
-        ("harmonic", "free", "quartic"), ("coherent",)),
-    "adiabatic": Command(cmd_adiabatic, frozenset(
-        "model m omega delta hbar initial t0 t1 samples out format".split()),
-        ("harmonic", "quartic"), ("coherent",)),
-    "order-check": Command(cmd_order_check, frozenset(
-        "model m omega delta n_max closure format".split()), ("harmonic", "free", "quartic")),
+    "simulate": Command(cmd_simulate, frozenset(f"{_RUN} n_max closure rtol atol format".split()),
+                        tuple(MODELS), tuple(INITIAL_SCHEMA)),
+    "compare": Command(cmd_compare, frozenset(f"{_RUN} n_max closure rtol atol oracle_dim".split()),
+                       tuple(name for name, row in MODELS.items() if row.oracle), ("coherent",)),
+    "adiabatic": Command(cmd_adiabatic, frozenset(f"{_RUN} format".split()),
+                         ("harmonic", "quartic"), ("coherent",)),
+    "order-check": Command(cmd_order_check, frozenset("model n_max closure format".split()),
+                           tuple(name for name, row in MODELS.items() if row.embedding)),
     "brackets": Command(cmd_brackets, frozenset({"n_max", "dof", "format"})),
     "uncertainty": Command(cmd_uncertainty, frozenset({"hbar", "format"})),
 }
@@ -505,13 +501,16 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         cfg = load_config(args.config, {key: val for key, val in flags if val is not None})
-        name, kind = args.command, cfg["initial"]["kind"]
-        if "model" in command.keys and cfg["model"] not in command.models:
-            raise ConfigError(f"{name} runs model {'/'.join(command.models)}, got {cfg['model']!r}")
-        if "initial" in command.keys and kind not in command.kinds:
-            raise ConfigError(f"{name} needs initial.kind {'/'.join(command.kinds)}, got {kind!r}")
-        if "dof" not in command.keys and cfg["dof"] != 1:
+        name, model, kind = args.command, cfg["model"], cfg["initial"]["kind"]
+        if "model" in command.keys and model not in command.models:
+            raise ConfigError(f"{name} runs model {'/'.join(command.models)}, got {model!r}")
+        keys = command.keys | (MODELS[model].keys if "model" in command.keys else set())
+        kinds = [k for k in command.kinds if k in MODELS[model].kinds]
+        if "initial" in keys and kind not in kinds:
+            raise ConfigError(f"{name} {model} needs initial.kind {'/'.join(kinds)}, got {kind!r}")
+        if "dof" not in keys and cfg["dof"] != 1:
             raise ConfigError(f"{name} runs one DOF, got dof {cfg['dof']}")
+        cfg = {key: val for key, val in cfg.items() if key in keys}
         return command.run(cfg, *([args.state_file] if "state_file" in args else []))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RangeError, StateError
+from .errors import ConfigError, DomainError, RangeError, StateError
 from .hamiltonian import (
     ClassicalHamiltonian,
     EquationSystem,
@@ -639,6 +639,9 @@ class HarmonicCoherentEmbedding:
     """Coherent-moment embedding of the harmonic model; exactly preserved."""
 
     def __init__(self, model):
+        if model.m * model.omega <= 0:
+            raise ConfigError(f"the coherent embedding needs m * omega > 0, got m = {model.m!r}, "
+                              f"omega = {model.omega!r}")
         self.model = model
 
     def state(self, q: float, p: float, hbar: float, n_top: int) -> SemiclassicalState:

@@ -95,6 +95,9 @@ class ClassicalHamiltonian:
             raise ConfigError(f"unknown Hamiltonian kind {self.kind!r}")
         if self.kind == "oscillator" and self.m <= 0:
             raise ConfigError("mass must be positive")
+        if self.kind == "cosmology" and self.gamma**2 * self.kappa == 0:
+            raise ConfigError(f"gamma^2 * kappa underflows to 0 (gamma = {self.gamma!r}, "
+                              f"kappa = {self.kappa!r})")
 
     @property
     def xvars(self) -> tuple[str, str]:

@@ -261,8 +261,7 @@ def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
 _EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
              1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308)
 _VALUE = st.one_of(st.floats(-4, 4), st.sampled_from(_EXTREMES))
-_FUZZ_MODELS = {"simulate": ("harmonic", "free", "quartic", "cosmology"),
-                "adiabatic": ("quartic", "harmonic"), "compare": ("harmonic", "free", "quartic")}
+_FUZZ_COMMANDS = ("simulate", "adiabatic", "compare")
 #: model constants, each with its values: the keys that must be positive
 #: mostly get magnitudes, so that most runs get past the config rules
 _FUZZ_KEYS = {**dict.fromkeys(("m", "omega", "hbar", "gamma", "kappa", "ell"), _VALUE.map(abs)),
@@ -273,9 +272,10 @@ _FUZZ_KEYS = {**dict.fromkeys(("m", "omega", "hbar", "gamma", "kappa", "ell"), _
 def _fuzz_case(draw):
     """A short run of simulate, adiabatic or compare with up to four model
     constants, the initial state and the time window mutated."""
-    command = draw(st.sampled_from(sorted(_FUZZ_MODELS)))
-    kind = draw(st.sampled_from(["coherent", "squeezed", "moments"])) if command == "simulate" \
-        else "coherent"
+    command = draw(st.sampled_from(_FUZZ_COMMANDS))
+    model = draw(st.sampled_from(cli.COMMANDS[command].models))
+    kind = draw(st.sampled_from([kind for kind in cli.COMMANDS[command].kinds
+                                 if kind in cli.MODELS[model].kinds]))
     initial = {"kind": kind, "q0": draw(_VALUE), "p0": draw(_VALUE)}
     if kind == "squeezed":
         a, b, c = draw(_VALUE), draw(_VALUE), draw(_VALUE)
@@ -283,8 +283,7 @@ def _fuzz_case(draw):
     elif kind == "moments":
         initial["values"] = draw(st.dictionaries(st.sampled_from(["G_0_2", "G_1_2", "G_2_2"]),
                                                  _VALUE, max_size=3))
-    config = {"model": draw(st.sampled_from(_FUZZ_MODELS[command])),
-              "n_max": draw(st.integers(2, 4)), "samples": draw(st.integers(2, 5)), "t1": 0.5,
+    config = {"model": model, "n_max": draw(st.integers(2, 4)), "samples": draw(st.integers(2, 5)), "t1": 0.5,
               "oracle_dim": draw(st.one_of(st.integers(8, 24), st.sampled_from([-1, 0, 601]))),
               "initial": initial}
     for key in draw(st.lists(st.sampled_from(sorted(_FUZZ_KEYS)), max_size=4, unique=True)):
@@ -317,7 +316,7 @@ def _cut(signum, frame):
                         "initial": {"kind": "coherent", "q0": 1.0, "p0": 1.0}}))
 # configs that once ended in an internal error (exit 5): an oracle
 # displacement whose generator overflows, log 0 in the cosmology closed
-# forms, and m * omega underflowing to 0
+# forms, and m * omega or gamma^2 * kappa underflowing to 0
 @example(("compare", {"oracle_dim": 16, "samples": 5,
                       "initial": {"kind": "coherent", "q0": 1.7976931348623157e308}}))
 @example(("compare", {"oracle_dim": 16, "samples": 5,
@@ -325,6 +324,7 @@ def _cut(signum, frame):
 @example(("simulate", {"model": "cosmology", "samples": 5,
                        "initial": {"kind": "coherent", "q0": 0.0, "p0": 1.0}}))
 @example(("simulate", {"model": "quartic", "m": 1e-300, "omega": 1e-300, "delta": 0.0}))
+@example(("simulate", {"model": "cosmology", "gamma": 1.1125369292536007e-308, "samples": 5}))
 @example(("adiabatic", {"model": "quartic", "m": 1e-300, "omega": 1e-300, "delta": 0.0}))
 @example(("compare", {"model": "quartic", "m": 1e-300, "omega": 1e-300, "delta": 0.0,
                       "oracle_dim": 16}))
@@ -432,8 +432,8 @@ def _operands(name, tmp_path):
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_each_command_reads_the_keys_of_its_row(tmp_path, monkeypatch, capsys, name):
-    # over the models of its row, a command reads exactly the keys of its
-    # row, and a config that sets every other key (but dof) still runs
+    # under each model of its row, a command reads exactly its own keys and
+    # the model's, and a config that sets every other key (but dof) still runs
     command = cli.COMMANDS[name]
     configs = []
 
@@ -444,14 +444,15 @@ def test_each_command_reads_the_keys_of_its_row(tmp_path, monkeypatch, capsys, n
     monkeypatch.setitem(cli.COMMANDS, name, command._replace(run=recording))
     monkeypatch.chdir(tmp_path)
     for model in command.models or [None]:
-        data = {key: val for key, val in _UNREAD.items() if key not in command.keys}
+        keys = command.keys | (cli.MODELS[model].keys if model else set())
+        data = {key: val for key, val in _UNREAD.items() if key not in keys}
         data.update((key, val) for key, val in {**_SHORT, "out": str(tmp_path)}.items()
-                    if key in command.keys)
+                    if key in keys)
         if model:
             data["model"] = model
         (tmp_path / "cfg.json").write_text(json.dumps(data))
         assert cli.main([name, "--config", "cfg.json", *_operands(name, tmp_path)]) == 0, model
-    assert set().union(*(cfg.read for cfg in configs)) == command.keys
+        assert configs[-1].read == keys, model
     assert not (tmp_path / "unread").exists()
 
 
@@ -476,8 +477,9 @@ def test_each_command_takes_the_flags_of_its_row(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_a_config_outside_the_row_exits_3(tmp_path, capsys, name):
-    # a model or initial.kind the command does not run, or dof 2 where dof
-    # is not read, is a config error naming it, before anything is written
+    # a model or initial.kind the command does not run, an initial.kind its
+    # model does not honour, or dof 2 where dof is not read, is a config
+    # error naming it, before anything is written
     command = cli.COMMANDS[name]
     cases = [({"dof": 2}, "dof")] if "dof" not in command.keys else []
     if "model" in command.keys:
@@ -485,6 +487,9 @@ def test_a_config_outside_the_row_exits_3(tmp_path, capsys, name):
     if "initial" in command.keys:
         cases += [({"initial": start}, "initial.kind")
                   for kind, start in _STARTS.items() if kind not in command.kinds]
+        cases += [({"model": model, "initial": _STARTS[kind]}, "initial.kind")
+                  for model in command.models for kind in command.kinds
+                  if kind not in cli.MODELS[model].kinds]
     for data, words in cases:
         (tmp_path / "cfg.json").write_text(json.dumps({**data, "out": str(tmp_path / "out")}))
         assert cli.main([name, "--config", str(tmp_path / "cfg.json"),
@@ -494,33 +499,69 @@ def test_a_config_outside_the_row_exits_3(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
-def _commands_table():
-    """README's table of COMMANDS: a command reading most keys lists the
-    keys it does not read."""
-    def cell(names):
-        return " ".join(f"`{name}`" for name in names) or "none"
+def _cell(names):
+    return " ".join(f"`{name}`" for name in names) or "none"
 
-    lines = ["| command | keys read | flags | models | initial kinds |",
-             "|---|---|---|---|---|"]
+
+def _commands_table():
+    """README's table of COMMANDS."""
+    lines = ["| command | own keys | flags | models | initial kinds |", "|---|---|---|---|---|"]
     for name, command in cli.COMMANDS.items():
-        read = [key for key in cli.CONFIG_SCHEMA if key in command.keys]
-        unread = [key for key in cli.CONFIG_SCHEMA if key not in command.keys]
-        keys = cell(read) if len(read) <= len(unread) else "all but " + cell(unread)
+        keys = [key for key in cli.CONFIG_SCHEMA if key in command.keys]
         flags = [flag for flag, key in cli.FLAGS.items() if key in command.keys]
-        lines.append(f"| `{name}` | {keys} | {cell(flags)} | {cell(command.models)} "
-                     f"| {cell(command.kinds)} |")
+        lines.append(f"| `{name}` | {_cell(keys)} | {_cell(flags)} | {_cell(command.models)} "
+                     f"| {_cell(command.kinds)} |")
+    return "\n".join(lines) + "\n"
+
+
+def _models_table():
+    """README's table of MODELS: a row's embedding is named by the type it
+    builds from the defaults."""
+    lines = ["| model | keys | defaults | initial kinds | order-check embedding | oracle operator |",
+             "|---|---|---|---|---|---|"]
+    for name, row in cli.MODELS.items():
+        cfg = cli.load_config(None, {"model": name})
+        keys = [key for key in cli.CONFIG_SCHEMA if key in row.keys]
+        defaults = [f"initial.{key} = {val!r}" for key, val in row.defaults.items()]
+        embedding = [type(row.embedding(row.build(cfg), cfg)).__name__] if row.embedding else []
+        oracle = [row.oracle.__name__] if row.oracle else []
+        lines.append(f"| `{name}` | {_cell(keys)} | {_cell(defaults)} | {_cell(row.kinds)} "
+                     f"| {_cell(embedding)} | {_cell(oracle)} |")
     return "\n".join(lines) + "\n"
 
 
 def test_readme_table_and_help_list_each_row():
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
-        assert _commands_table() in fh.read()
+        readme = fh.read()
+    assert _commands_table() in readme and _models_table() in readme
     for name, command in cli.COMMANDS.items():
         with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit) as exc:
             cli.main([name, "--help"])
         assert exc.value.code == 0
         listed = set(re.findall(r"--[a-z-]+", out.getvalue())) - {"--help", "--config"}
         assert listed == {flag for flag, key in cli.FLAGS.items() if key in command.keys}
+
+
+@pytest.mark.parametrize("name, model", [(name, model) for name, command in cli.COMMANDS.items()
+                                         for model in command.models])
+def test_each_row_runs_on_its_defaults(tmp_path, monkeypatch, capsys, name, model):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([name, "--model", model]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, path", [("simulate", "trajectory.meta.json"),
+                                        ("adiabatic", "adiabatic.meta.json"),
+                                        ("compare", "compare.json")])
+def test_artifacts_record_the_config_the_run_read(tmp_path, name, path):
+    # the command's keys and its model's: adiabatic integrates at its own
+    # tolerances, so its record holds no rtol, and no run records gamma
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "model": "quartic", "rtol": 1e-3, "gamma": 5, "t1": 0.1, "samples": 3, "oracle_dim": 40}))
+    assert cli.main([name, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / path).read_text())
+    config = report["config"] if name == "compare" else report["meta"]["config"]
+    assert set(config) == cli.COMMANDS[name].keys | cli.MODELS["quartic"].keys
+    assert ("rtol" in config) == (name != "adiabatic") and "gamma" not in config
 
 
 # -- simulate ----------------------------------------------------------------
@@ -609,6 +650,18 @@ def test_simulate_cosmology_partial_exits_2(tmp_path, capsys):
     assert "incomplete" in captured.err
     meta = json.loads((tmp_path / "trajectory.meta.json").read_text())
     assert meta["complete"] is False
+
+
+def test_simulate_cosmology_honours_a_moments_start(tmp_path):
+    # the moments start sets the given moments on (c, p), from the row's p0 = 1
+    values = {"G_0_2": 0.5, "G_1_2": 0.1, "G_2_2": 0.4}
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "model": "cosmology", "n_max": 2, "t1": 0.01, "samples": 3,
+        "initial": {"kind": "moments", "q0": -0.5, "values": values}}))
+    assert cli.main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "trajectory.csv") as fh:
+        header, first = list(csv.reader(fh))[:2]
+    assert dict(zip(header, map(float, first))) == {"t": 0.0, "c": -0.5, "p": 1.0, **values}
 
 
 def test_simulate_divergence_writes_partial_on_requested_grid(tmp_path, capsys):
@@ -886,7 +939,8 @@ def test_one_name_per_moment_end_to_end(tmp_path, model):
     with open(tmp_path / "trajectory.csv") as fh:
         header = next(csv.reader(fh))
     cfg = cli.load_config(None, cfg)
-    system = generate_eom(expand_quantum_hamiltonian(cli.build_model(cfg), 4), cfg["closure"])
+    system = generate_eom(expand_quantum_hamiltonian(cli.MODELS[model].build(cfg), 4),
+                          cfg["closure"])
     listed = [eq["variable"] for eq in json.loads(system.listing_json())["equations"]]
     assert listed == system.labels() == header[1:]
 

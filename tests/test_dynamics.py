@@ -13,7 +13,6 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from momentflow import adiabatic as adi
-from momentflow import cli
 from momentflow import dynamics as dyn
 from momentflow.errors import DomainError, RangeError, StateError
 from momentflow.hamiltonian import (
@@ -101,14 +100,14 @@ def _solve_ivp(fun, y0, t_eval, rtol, atol, event=None):
     ("quartic", 3, False), ("quartic", 8, False), ("quartic", 3, True),
 ])
 def test_integrate_bit_identical_to_solve_ivp(model, n_max, backward):
-    cfg = cli.load_config(None, {"model": model, "n_max": n_max})
-    H = cli.build_model(cfg)
-    system = generate_eom(expand_quantum_hamiltonian(H, n_max), closure=cfg["closure"])
-    s0 = cli.initial_state(cfg, H)
-    span = (cfg["t1"], cfg["t0"]) if backward else (cfg["t0"], cfg["t1"])
-    traj = dyn.integrate(system, s0, span, cfg["samples"], cfg["rtol"], cfg["atol"])
-    sol = _solve_ivp(system.compile(s0.hbar), system.pack(s0), np.linspace(*span, cfg["samples"]),
-                     cfg["rtol"], cfg["atol"])
+    # the CLI's default run: a coherent start at (1, 0) over one period
+    H = ClassicalHamiltonian(potential=PotentialSpec.quartic(0.1) if model == "quartic"
+                             else PotentialSpec.zero())
+    system = generate_eom(expand_quantum_hamiltonian(H, n_max))
+    s0 = _coherent_state(1.0, 1.0, 1.0, 1.0, 0.0, n_max)
+    span = (2 * math.pi, 0.0) if backward else (0.0, 2 * math.pi)
+    traj = dyn.integrate(system, s0, span, 201, 1e-8, 1e-10)
+    sol = _solve_ivp(system.compile(s0.hbar), system.pack(s0), np.linspace(*span, 201), 1e-8, 1e-10)
     assert sol.status == 0 and traj.complete
     assert np.array_equal(traj.t, sol.t) and np.array_equal(traj.y, sol.y.T)
     assert traj.stats["nfev"] == sol.nfev
@@ -155,10 +154,9 @@ def _harmonic_run():
 
 def _quartic_divergence():
     # the truncated quartic system with delta = -5 diverges at t = 1.7275
-    cfg = cli.load_config(None, {"model": "quartic", "delta": -5})
-    H = cli.build_model(cfg)
-    system = generate_eom(expand_quantum_hamiltonian(H, cfg["n_max"]))
-    return dyn.integrate(system, cli.initial_state(cfg, H), (cfg["t0"], cfg["t1"]))
+    H = ClassicalHamiltonian(potential=PotentialSpec.quartic(-5.0))
+    system = generate_eom(expand_quantum_hamiltonian(H, 3))
+    return dyn.integrate(system, _coherent_state(1.0, 1.0, 1.0, 1.0, 0.0, 3), (0.0, 2 * math.pi))
 
 
 def _adiabatic_run():
