@@ -129,6 +129,10 @@ def test_missing_config_file_exits_3(tmp_path):
     (("adiabatic", {"model": "quartic", "initial": {"kind": "squeezed", "g": [[1, 0], [0, 1]]}}),
      "initial.kind"),
     (("adiabatic", {"model": "quartic", "initial": {"kind": "moments"}}), "initial.kind"),
+    # m omega^2 or gamma^2 kappa underflows to 0, which the adiabatic expansion
+    # or the cosmology Hamiltonian divides by
+    (("order-check", {"model": "quartic", "m": 1e-200, "omega": 1e-100}), "m * omega^2"),
+    ({"model": "cosmology", "gamma": 1e-200}, "gamma^2 * kappa"),
 ])
 def test_non_integer_config_exits_3(tmp_path, capsys, data, key):
     """Each bad input is named in a config error; a list is a command line,
@@ -283,7 +287,8 @@ def _fuzz_case(draw):
     elif kind == "moments":
         initial["values"] = draw(st.dictionaries(st.sampled_from(["G_0_2", "G_1_2", "G_2_2"]),
                                                  _VALUE, max_size=3))
-    config = {"model": model, "n_max": draw(st.integers(2, 4)), "samples": draw(st.integers(2, 5)), "t1": 0.5,
+    config = {"model": model, "n_max": draw(st.integers(2, 4)),
+              "samples": draw(st.integers(2, 5)), "t1": 0.5,
               "oracle_dim": draw(st.one_of(st.integers(8, 24), st.sampled_from([-1, 0, 601]))),
               "initial": initial}
     for key in draw(st.lists(st.sampled_from(sorted(_FUZZ_KEYS)), max_size=4, unique=True)):
