@@ -13,7 +13,7 @@ import numpy as np
 
 from momentflow import (
     ClassicalHamiltonian,
-    HarmonicCoherentEmbedding,
+    ConstantMomentEmbedding,
     coherent_tilde_moment,
     expand_quantum_hamiltonian,
     from_dimensionless,
@@ -28,7 +28,7 @@ N_MAX = 4
 
 model = ClassicalHamiltonian(m=M, omega=W)
 system = generate_eom(expand_quantum_hamiltonian(model, N_MAX))
-s0 = HarmonicCoherentEmbedding(model).state(1.0, 0.0, HBAR, N_MAX)
+s0 = ConstantMomentEmbedding.coherent(model).state(1.0, 0.0, HBAR, N_MAX)
 
 T = 10 * 2 * math.pi / W
 traj = integrate(system, s0, (0.0, T), n_samples=401, rtol=1e-12, atol=1e-14)

@@ -18,9 +18,10 @@ samples reached, flagged incomplete, and print ``trajectory incomplete:
 <stop_cause> at t=<t_stop>``; ``compare`` writes nothing.
 
 Exit codes: 0 ok, 2 domain error (or numeric overflow), 3 config error (a rule
-of the schema fails, or the command line does not parse), 4 capacity, 5
-internal error (any other exception, reported as ``internal error: <Type>:
-<message>`` without a traceback).  ``--help`` and ``--version`` exit 0.
+of the schema fails, or the command line does not parse), 4 capacity (or an
+allocation that does not fit in memory), 5 internal error (any other
+exception, reported as ``internal error: <Type>: <message>`` without a
+traceback).  ``--help`` and ``--version`` exit 0.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ import numpy as np
 from . import __version__ as VERSION
 from .adiabatic import AdiabaticConfig, AdiabaticEmbedding, solve_effective
 from .dynamics import (
+    ConstantMomentEmbedding,
     CosmologyParams,
-    FreeConstantEmbedding,
-    HarmonicCoherentEmbedding,
     coherent_free_constants,
     coherent_moments,
     cosmology_moments,
@@ -61,6 +61,7 @@ from .hamiltonian import (
     ClassicalHamiltonian,
     PotentialSpec,
     expand_quantum_hamiltonian,
+    from_dimensionless,
     generate_eom,
 )
 from .moment_algebra import (
@@ -126,10 +127,10 @@ def _coherent(cfg: dict) -> dict:
 
 
 def _squeezed(cfg: dict) -> dict:
-    g, mw = SqueezeMatrix(cfg["initial"]["g"]), cfg["m"] * _width(cfg)
-    # states module works in m w = 1 units
-    return {idx: mw ** (idx.p_power - idx.order / 2) * squeezed_moment(g, idx, cfg["hbar"])
-            for idx in moment_vars(cfg["n_max"])}
+    # states module works in m w = 1 units; squeezed_moment carries the hbar
+    g, m, w = SqueezeMatrix(cfg["initial"]["g"]), cfg["m"], _width(cfg)
+    return {idx: from_dimensionless(squeezed_moment(g, idx, cfg["hbar"]), idx.p_power, idx.order,
+                                    m, w, 1.0) for idx in moment_vars(cfg["n_max"])}
 
 
 def _moments(cfg: dict) -> dict:
@@ -142,10 +143,12 @@ def _cosmology_coherent(cfg: dict) -> dict:
     return cosmology_moments(params, float(cfg["initial"]["q0"]), float(cfg["initial"]["p0"]))
 
 
-def _free_embedding(model: ClassicalHamiltonian, cfg: dict) -> FreeConstantEmbedding:
+def _free_embedding(model: ClassicalHamiltonian, cfg: dict) -> ConstantMomentEmbedding:
+    """Order-2 moments of the coherent free state at q = p = hbar = 1, for every hbar."""
     g2 = free_particle_moments(coherent_free_constants(1.0, 1.0, model.m, _width(cfg), 1.0),
                                1.0, 1.0, 2)
-    return FreeConstantEmbedding(model, {idx: g2[idx.p_power] for idx in moment_vars(2)})
+    return ConstantMomentEmbedding(model, lambda hbar, n_top: {
+        idx: g2[idx.p_power] if idx.order == 2 else 0.0 for idx in moment_vars(n_top)})
 
 
 def oscillator_operator(space, model: ClassicalHamiltonian):
@@ -168,7 +171,8 @@ Model = namedtuple("Model", "build keys defaults kinds embedding oracle")
 MODELS = {
     "harmonic": Model(lambda cfg: ClassicalHamiltonian(m=cfg["m"], omega=cfg["omega"]),
                       frozenset({"m", "omega"}), {}, _OSCILLATOR_STARTS,
-                      lambda model, cfg: HarmonicCoherentEmbedding(model), oscillator_operator),
+                      lambda model, cfg: ConstantMomentEmbedding.coherent(model),
+                      oscillator_operator),
     "free": Model(lambda cfg: ClassicalHamiltonian(m=cfg["m"], omega=0.0),
                   frozenset({"m", "omega"}), {}, _OSCILLATOR_STARTS,
                   _free_embedding, oscillator_operator),
@@ -521,7 +525,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # finite inputs whose arithmetic leaves the float range
         print(f"domain error: numeric overflow: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:  # e.g. more samples than fit in memory
         print(f"capacity error: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:  # a bug: report it without a traceback

@@ -1,5 +1,6 @@
-"""Trajectory integration, closed-form reference solutions, and the
-order-scaling diagnostic for truncated moment systems.
+"""Trajectory integration, the closed-form harmonic, free-particle and
+cosmology solutions, and the order-scaling diagnostic for truncated moment
+systems with its embeddings of constant moments.
 
 All dynamics here is single degree of freedom.  The integrator is the
 adaptive Dormand-Prince 5(4) pair of ``dormand_prince``, a port of the RK45
@@ -31,7 +32,6 @@ __all__ = [
     "StepperRun",
     "dormand_prince",
     "integrate",
-    "HarmonicModeConstants",
     "harmonic_analytic",
     "coherent_tilde_moment",
     "coherent_moments",
@@ -44,8 +44,7 @@ __all__ = [
     "cosmology_moment_rates",
     "OrderCheckResult",
     "order_check",
-    "HarmonicCoherentEmbedding",
-    "FreeConstantEmbedding",
+    "ConstantMomentEmbedding",
 ]
 
 
@@ -379,46 +378,14 @@ def coherent_moments(n_max: int, m: float, w: float, hbar: float) -> dict[Moment
                                     idx.order, m, w, hbar) for idx in moment_vars(n_max)}
 
 
-@dataclass
-class HarmonicModeConstants:
-    """Constant mode amplitudes of the order-2 harmonic moment flow.
-
-    In polar coordinates r = sqrt(p^2/m + m w^2 q^2), tan(theta) = m w q/p
-    the dimensionless second moments rotate with frequencies 0, +-2; A0 is
-    the stationary amplitude and A2 the complex +2-frequency amplitude (the
-    -2 one is its conjugate for real moments).
-    """
-
-    A0: float
-    A2: complex = 0.0
-
-    @classmethod
-    def from_moments(cls, g02: float, g12: float, g22: float) -> "HarmonicModeConstants":
-        """Amplitudes matching given dimensionless moments at theta = 0."""
-        return cls((g02 + g22) / 2.0, complex((g22 - g02) / 4.0, g12 / 2.0))
-
-    def uncertainty_margin(self) -> float:
-        """A0^2 - 4 |A2|^2 - 1/4; non-negative for physical order-2 data."""
-        return self.A0**2 - 4 * abs(self.A2) ** 2 - 0.25
-
-    def n2_values(self, theta: float) -> tuple[float, float, float]:
-        ph = np.exp(2j * theta) * self.A2
-        g02 = self.A0 - 2 * ph.real
-        g12 = 2 * ph.imag
-        g22 = self.A0 + 2 * ph.real
-        return g02, g12, g22
-
-
 def _power_coefficients(k: int, u: float, v: float) -> np.ndarray:
     """Coefficients of (u X + v P)^k by ascending power of P."""
     return np.array([math.comb(k, j) * u ** (k - j) * v**j for j in range(k + 1)])
 
 
-def harmonic_analytic(A: "HarmonicModeConstants | np.ndarray", n: int, theta: float) -> np.ndarray:
-    """Dimensionless moments G(a, n), a = 0..n, at phase angle theta.
-
-    ``A`` is either the order-2 mode constants or, for general n, the raw
-    amplitude vector (the moment values at theta = 0).  The flow
+def harmonic_analytic(A, n: int, theta: float) -> np.ndarray:
+    """Dimensionless moments G(a, n), a = 0..n, at phase angle theta, from
+    their values ``A`` at theta = 0.  The flow
     (d/d theta) G(a) = (n - a) G(a+1) - a G(a-1) is the n-fold symmetric
     power of the rotation (X, P) -> (c X + s P, -s X + c P), c = cos theta,
     s = sin theta: G(a) at theta is sum_b T_ab G(b) at 0, with T_ab the
@@ -426,14 +393,9 @@ def harmonic_analytic(A: "HarmonicModeConstants | np.ndarray", n: int, theta: fl
     """
     if n < 2:
         raise RangeError("need n >= 2")
-    if isinstance(A, HarmonicModeConstants):
-        if n != 2:
-            raise RangeError("mode constants cover n = 2; pass a raw vector otherwise")
-        vec = np.array(A.n2_values(0.0))
-    else:
-        vec = np.asarray(A, dtype=float)
-        if vec.size != n + 1:
-            raise RangeError(f"amplitude vector must have length {n + 1}")
+    vec = np.asarray(A, dtype=float)
+    if vec.size != n + 1:
+        raise RangeError(f"amplitude vector must have length {n + 1}")
     c, s = math.cos(theta), math.sin(theta)
     T = np.array([
         np.convolve(_power_coefficients(n - a, c, s), _power_coefficients(a, -s, c))
@@ -446,13 +408,10 @@ def harmonic_analytic(A: "HarmonicModeConstants | np.ndarray", n: int, theta: fl
 # free particle closed forms
 
 
-def free_particle_moments(c, q: float, p: float, n: int, hbar: float | None = None) -> dict[int, float]:
-    """Moments of the free flow: G(a, n) = p^a sum_i c_i (n-a)!/(n-a-i)! q^{n-a-i}.
-
-    ``c`` has n + 1 entries.  When ``hbar`` is given and n == 2, the
-    minimal-uncertainty combination 2 c0 c2 - c1^2 - hbar^2/(4 p^2) is
-    reported under key -1 (zero for saturated states).
-    """
+def free_particle_moments(c, q: float, p: float, n: int) -> dict[int, float]:
+    """Moments of the free flow: G(a, n) = p^a sum_i c_i (n-a)!/(n-a-i)! q^{n-a-i},
+    keyed by a; ``c`` has n + 1 entries.  At n = 2 the order-2 margin
+    G02 G22 - G12^2 - hbar^2/4 is p^2 (2 c0 c2 - c1^2) - hbar^2/4."""
     if n < 2:
         raise RangeError("need n >= 2")
     c = list(c)
@@ -464,8 +423,6 @@ def free_particle_moments(c, q: float, p: float, n: int, hbar: float | None = No
         for i in range(n - a + 1):
             total += c[i] * math.perm(n - a, i) * q ** (n - a - i)
         out[a] = p**a * total
-    if hbar is not None and n == 2:
-        out[-1] = 2 * c[0] * c[2] - c[1] ** 2 - hbar**2 / (4 * p**2)
     return out
 
 
@@ -635,18 +592,31 @@ class OrderCheckResult:
         return f"slope {self.slope:.3f}"
 
 
-class HarmonicCoherentEmbedding:
-    """Coherent-moment embedding of the harmonic model; exactly preserved."""
+class ConstantMomentEmbedding:
+    """Moments ``moments(hbar, n_top)`` of orders 2..n_top, held constant
+    along the classical flow (p/m, -m omega^2 q).
 
-    def __init__(self, model):
-        if model.m * model.omega <= 0:
-            raise ConfigError(f"the coherent embedding needs m * omega > 0, got m = {model.m!r}, "
-                              f"omega = {model.omega!r}")
+    The coherent moments of ``coherent`` are exactly preserved by the
+    harmonic flow.  No constant choice is preserved by the free flow, so
+    there the mismatch does not shrink with hbar; the diagnostic reports
+    slope near zero.
+    """
+
+    def __init__(self, model, moments):
         self.model = model
+        self.moments = moments
+
+    @classmethod
+    def coherent(cls, model) -> ConstantMomentEmbedding:
+        """The coherent moments of the model's own oscillator."""
+        m, w = model.m, model.omega
+        if m * w <= 0:
+            raise ConfigError(f"the coherent embedding needs m * omega > 0, got m = {m!r}, "
+                              f"omega = {w!r}")
+        return cls(model, lambda hbar, n_top: coherent_moments(n_top, m, w, hbar))
 
     def state(self, q: float, p: float, hbar: float, n_top: int) -> SemiclassicalState:
-        moments = coherent_moments(n_top, self.model.m, self.model.omega, hbar)
-        return SemiclassicalState(hbar, {"q": q, "p": p}, moments, n_top)
+        return SemiclassicalState(hbar, {"q": q, "p": p}, self.moments(hbar, n_top), n_top)
 
     def flow(self, q: float, p: float, hbar: float, n_top: int) -> np.ndarray:
         m, w = self.model.m, self.model.omega
@@ -654,27 +624,6 @@ class HarmonicCoherentEmbedding:
         out[0] = p / m
         out[1] = -m * w**2 * q
         return out  # moments constant
-
-
-class FreeConstantEmbedding:
-    """Fixed (hbar-independent) constant moments on the free model.
-
-    No constant choice is preserved by the free flow, so the mismatch does
-    not shrink with hbar; the diagnostic reports slope near zero.
-    """
-
-    def __init__(self, model, reference_moments: dict[MomentIndex, float]):
-        self.model = model
-        self.reference = reference_moments
-
-    def state(self, q, p, hbar, n_top):
-        moments = {idx: self.reference.get(idx, 0.0) for idx in moment_vars(n_top)}
-        return SemiclassicalState(hbar, {"q": q, "p": p}, moments, n_top)
-
-    def flow(self, q, p, hbar, n_top):
-        out = np.zeros(2 + len(moment_vars(n_top)))
-        out[0] = p / self.model.m
-        return out
 
 
 #: phase-space points (q, p) at which order_check compares the flows

@@ -35,7 +35,7 @@ __all__ = [
     "MomentIndex",
     "moment_indices",
     "moment_vars",
-    "SymplecticMatrix",
+    "EPS",
     "MomentPolynomial",
     "SemiclassicalState",
     "kk_coefficient",
@@ -142,19 +142,9 @@ def _compositions(n: int, k: int):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """eps^{ij} = {x^i, x^j} for ordering (q_1..q_N, p_1..p_N)."""
-
-    dof: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        n = self.dof
-        eps = np.zeros((2 * n, 2 * n), dtype=int)
-        eps[:n, n:] = np.eye(n, dtype=int)
-        eps[n:, :n] = -np.eye(n, dtype=int)
-        return eps
+#: eps^{ij} = {x^i, x^j} for x = (q, p); at N DOF, ordered (q_1..q_N,
+#: p_1..p_N), it is kron(EPS, 1_N)
+EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +665,7 @@ def check_uncertainty_generating(provider, alpha, beta, order: int | None = None
         s = 2.0 ** (-order)
         alpha, beta = s * alpha, s * beta
     n = alpha.size // 2
-    eps = SymplecticMatrix(n).matrix
-    cross = float(alpha @ eps @ beta)
+    cross = float(alpha @ np.kron(EPS, np.eye(n)) @ beta)
     Da, Db = provider.D(alpha), provider.D(beta)
     Dab = provider.D(alpha + beta)
     lhs = (provider.D(2 * alpha) - Da**2) * (provider.D(2 * beta) - Db**2)

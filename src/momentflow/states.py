@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, StateError
-from .moment_algebra import MomentIndex, gaussian_moment
+from .moment_algebra import EPS, MomentIndex, gaussian_moment
 
 __all__ = [
-    "EPS",
     "CLASSICAL_BLOCK_FACTOR",
     "SqueezeMatrix",
     "squeezed_moments",
@@ -33,8 +32,6 @@ __all__ = [
     "omega_pullback",
     "PulledBackForm",
 ]
-
-EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # Classical block of the pulled-back form as printed, 2 eps_ij dx^i ^ dx^j.
 # Whether the 2 is a convention or a typo is unresolved upstream; keep it

@@ -95,7 +95,7 @@ def test_A2_harmonic_strong_effective_system():
     n_max = 4
     model = ClassicalHamiltonian(m=m, omega=w)
     system = generate_eom(expand_quantum_hamiltonian(model, n_max))
-    emb = dyn.HarmonicCoherentEmbedding(model)
+    emb = dyn.ConstantMomentEmbedding.coherent(model)
     s0 = emb.state(1.0, 0.0, hbar, n_max)
     T = 10 * 2 * math.pi
     traj = dyn.integrate(system, s0, (0.0, T), n_samples=401, rtol=1e-12, atol=1e-14)
@@ -141,7 +141,7 @@ def test_A3_free_particle_spreading():
     c = dyn.coherent_free_constants(q0, p0, m, 1.0, hbar)
     model = ClassicalHamiltonian(m=m, omega=0.0)
     system = generate_eom(expand_quantum_hamiltonian(model, 2))
-    ref0 = dyn.free_particle_moments(c, q0, p0, 2, hbar)
+    ref0 = dyn.free_particle_moments(c, q0, p0, 2)
     from momentflow.moment_algebra import SemiclassicalState
 
     s0 = SemiclassicalState(hbar, {"q": q0, "p": p0}, {G(a, 2): ref0[a] for a in range(3)}, 2)
@@ -149,7 +149,7 @@ def test_A3_free_particle_spreading():
     err_closed = 0.0
     for i in range(201):
         q, p = traj.y[i][0], traj.y[i][1]
-        ref = dyn.free_particle_moments(c, q, p, 2, hbar)
+        ref = dyn.free_particle_moments(c, q, p, 2)
         col = traj.labels.index("G_0_2")
         err_closed = max(err_closed, abs(traj.y[i][col] - ref[0]))
 
@@ -162,7 +162,7 @@ def test_A3_free_particle_spreading():
     for t in np.linspace(0.0, 1.0, 6):
         st = orc.moments_of(prop(psi0, t), space, 2)
         qt = q0 + p0 * t / m
-        ref = dyn.free_particle_moments(c, qt, p0, 2, hbar)
+        ref = dyn.free_particle_moments(c, qt, p0, 2)
         err_orc = max(err_orc, abs(st.G(0, 2) - ref[0]))
 
     _report(
@@ -399,7 +399,7 @@ def test_A10_order_diagnostic():
     quartic = ClassicalHamiltonian(potential=PotentialSpec.quartic(0.1))
     res_q = dyn.order_check(adi.AdiabaticEmbedding(quartic), quartic, hbars, n_max=3)
     harmonic = ClassicalHamiltonian()
-    res_h = dyn.order_check(dyn.HarmonicCoherentEmbedding(harmonic), harmonic, hbars)
+    res_h = dyn.order_check(dyn.ConstantMomentEmbedding.coherent(harmonic), harmonic, hbars)
     _report(
         "A10 order diagnostic",
         (not res_q.exact) and abs(res_q.slope - 2.0) <= 0.2 and res_h.exact,

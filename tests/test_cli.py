@@ -261,6 +261,16 @@ def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
     assert "internal error: RuntimeError: boom" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "adiabatic"])
+def test_samples_beyond_memory_exit_4(tmp_path, capsys, command):
+    # 1e12 samples ask for a 7.28 TiB time grid, which the allocator refuses
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 10**12}))
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and "Traceback" not in err
+
+
 #: finite floats at the edges of the float range, and the signed zeros
 _EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
              1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308)

@@ -22,7 +22,12 @@ from momentflow.hamiltonian import (
     from_dimensionless,
     generate_eom,
 )
-from momentflow.moment_algebra import MomentIndex, SemiclassicalState, check_uncertainty_order2
+from momentflow.moment_algebra import (
+    MomentIndex,
+    SemiclassicalState,
+    check_uncertainty_order2,
+    moment_vars,
+)
 
 
 def G(a, n):
@@ -30,7 +35,7 @@ def G(a, n):
 
 
 def _coherent_state(m, w, hbar, q, p, n_max):
-    emb = dyn.HarmonicCoherentEmbedding(ClassicalHamiltonian(m=m, omega=w))
+    emb = dyn.ConstantMomentEmbedding.coherent(ClassicalHamiltonian(m=m, omega=w))
     return emb.state(q, p, hbar, n_max)
 
 
@@ -211,19 +216,6 @@ def test_trajectory_csv_json(tmp_path):
 # -- harmonic closed forms ---------------------------------------------------
 
 
-def test_mode_constants_roundtrip():
-    A = dyn.HarmonicModeConstants.from_moments(0.7, 0.1, 0.9)
-    assert A.n2_values(0.0) == pytest.approx((0.7, 0.1, 0.9))
-    assert A.uncertainty_margin() == pytest.approx(
-        0.8**2 - 4 * abs(A.A2) ** 2 - 0.25
-    )
-
-
-def test_coherent_mode_constants_saturate():
-    A = dyn.HarmonicModeConstants.from_moments(0.5, 0.0, 0.5)
-    assert abs(A.uncertainty_margin()) < 1e-14
-
-
 def test_harmonic_analytic_matches_integration():
     m, w, hbar = 1.0, 1.0, 1.0
     system = _harmonic_system(2)
@@ -231,22 +223,30 @@ def test_harmonic_analytic_matches_integration():
     moments = {G(a, 2): from_dimensionless(g0[a], a, 2, m, w, hbar) for a in range(3)}
     s0 = SemiclassicalState(hbar, {"q": 0.0, "p": 1.0}, moments, 2)
     traj = dyn.integrate(system, s0, (0.0, 3.0), rtol=1e-11, atol=1e-13)
-    A = dyn.HarmonicModeConstants.from_moments(*g0)
     for i in (30, 77, 150, 200):
         theta = w * traj.t[i]
-        vals = dyn.harmonic_analytic(A, 2, theta)
+        vals = dyn.harmonic_analytic(g0, 2, theta)
         got = [traj.y[i][traj.labels.index(f"G_{a}_2")] for a in range(3)]
         assert np.allclose(got, vals, atol=1e-8)
 
 
-def test_harmonic_analytic_invariants():
-    A = dyn.HarmonicModeConstants.from_moments(0.6, 0.2, 0.8)
-    for theta in (0.3, 1.7, 4.0):
-        g02, g12, g22 = A.n2_values(theta)
-        assert (g02 + g22) / 2 == pytest.approx(A.A0)
-        assert g02 * g22 - g12**2 == pytest.approx(
-            A.A0**2 - 4 * abs(A.A2) ** 2
-        )
+def _order2_margin(g):
+    """check_uncertainty_order2 of dimensionless n = 2 moments (hbar = 1)."""
+    return check_uncertainty_order2(
+        SemiclassicalState(1.0, {"q": 0.0, "p": 0.0}, {G(a, 2): g[a] for a in range(3)}, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-2, 2), min_size=3, max_size=3), st.floats(-10, 10))
+def test_harmonic_analytic_invariants(vec, theta):
+    # the n = 2 flow rotates (g22 - g02, 2 g12) at frequency 2 about the mean
+    # (g02 + g22)/2, so it keeps the mean and g02 g22 - g12^2, hence the margin
+    g = dyn.harmonic_analytic(vec, 2, theta)
+    scale = 1 + sum(v * v for v in vec)
+    assert (g[0] + g[2]) / 2 == pytest.approx((vec[0] + vec[2]) / 2, abs=1e-14 * scale)
+    assert g[0] * g[2] - g[1] ** 2 == pytest.approx(vec[0] * vec[2] - vec[1] ** 2,
+                                                    abs=1e-14 * scale)
+    assert _order2_margin(g) == pytest.approx(_order2_margin(vec), abs=1e-14 * scale)
 
 
 def test_harmonic_analytic_general_order():
@@ -254,7 +254,7 @@ def test_harmonic_analytic_general_order():
     out = dyn.harmonic_analytic(vec, 4, 2 * math.pi)
     assert np.allclose(out, vec, atol=1e-12)
     with pytest.raises(RangeError):
-        dyn.harmonic_analytic(dyn.HarmonicModeConstants(0.5), 4, 0.0)
+        dyn.harmonic_analytic(vec[:3], 4, 0.0)
 
 
 def _mode_matrix(n):
@@ -289,22 +289,34 @@ def test_free_particle_closed_form_matches_integration():
     q0, p0 = 0.0, 1.0
     c = dyn.coherent_free_constants(q0, p0, m, 1.0, hbar)
     system = generate_eom(expand_quantum_hamiltonian(ClassicalHamiltonian(m=m, omega=0.0), 2))
-    ref = dyn.free_particle_moments(c, q0, p0, 2, hbar)
+    ref = dyn.free_particle_moments(c, q0, p0, 2)
     s0 = SemiclassicalState(hbar, {"q": q0, "p": p0}, {G(a, 2): ref[a] for a in range(3)}, 2)
     traj = dyn.integrate(system, s0, (0.0, 5.0), rtol=1e-11, atol=1e-13)
     for i in (50, 120, 200):
         q, p = traj.y[i][0], traj.y[i][1]
-        ref_t = dyn.free_particle_moments(c, q, p, 2, hbar)
+        ref_t = dyn.free_particle_moments(c, q, p, 2)
         for a in range(3):
             col = traj.labels.index(f"G_{a}_2")
             assert traj.y[i][col] == pytest.approx(ref_t[a], rel=1e-8, abs=1e-10)
 
 
-def test_coherent_free_constants_saturate():
-    c = dyn.coherent_free_constants(0.4, 1.3, 1.0, 2.0, 0.7)
-    out = dyn.free_particle_moments(c, 0.4, 1.3, 2, 0.7)
-    assert abs(out[-1]) < 1e-14
-    assert out[0] == pytest.approx(0.7 / (2 * 1.0 * 2.0))
+_POSITIVE = st.floats(0.2, 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-3, 3), st.one_of(st.floats(-3, -0.1), st.floats(0.1, 3)), _POSITIVE, _POSITIVE,
+       st.floats(0.01, 2), st.floats(0, 5))
+def test_coherent_free_constants_saturate(q0, p0, m, w, hbar, t):
+    # the free flow keeps p and moves q at p/m; the closed form starts as the
+    # coherent state of width w at (q0, p0) and stays minimal along the flow
+    c, q = dyn.coherent_free_constants(q0, p0, m, w, hbar), q0 + p0 * t / m
+    assert dyn.free_particle_moments(c, q0, p0, 2)[0] == pytest.approx(hbar / (2 * m * w))
+    g = dyn.free_particle_moments(c, q, p0, 2)
+    state = SemiclassicalState(hbar, {"q": q, "p": p0}, {G(a, 2): g[a] for a in range(3)}, 2)
+    # the size of the terms that cancel: the same sums over absolute values
+    raw = dyn.free_particle_moments(np.abs(c), abs(q), abs(p0), 2)
+    scale = raw[0] * raw[2] + raw[1] ** 2 + hbar**2
+    assert check_uncertainty_order2(state) == pytest.approx(0.0, abs=1e-14 * scale)
 
 
 def test_free_particle_input_checks():
@@ -466,7 +478,7 @@ def test_cosmology_backreaction_failure_is_flagged():
 
 def test_order_check_requires_hbar_span():
     model = ClassicalHamiltonian()
-    emb = dyn.HarmonicCoherentEmbedding(model)
+    emb = dyn.ConstantMomentEmbedding.coherent(model)
     with pytest.raises(RangeError):
         dyn.order_check(emb, model, [1e-3, 1e-2, 1e-1])
     with pytest.raises(RangeError):
@@ -476,7 +488,7 @@ def test_order_check_requires_hbar_span():
 def test_order_check_harmonic_exact():
     model = ClassicalHamiltonian(m=1.0, omega=1.0)
     res = dyn.order_check(
-        dyn.HarmonicCoherentEmbedding(model), model, np.geomspace(1e-3, 1e-1, 5)
+        dyn.ConstantMomentEmbedding.coherent(model), model, np.geomspace(1e-3, 1e-1, 5)
     )
     assert res.exact
     assert str(res) == "exact"
@@ -484,14 +496,10 @@ def test_order_check_harmonic_exact():
 
 def test_order_check_free_slope_zero():
     model = ClassicalHamiltonian(m=1.0, omega=0.0)
-    ref = {
-        G(a, 2): dyn.free_particle_moments(
-            dyn.coherent_free_constants(1.0, 1.0, 1.0, 1.0, 1.0), 1.0, 1.0, 2
-        )[a]
-        for a in range(3)
-    }
-    res = dyn.order_check(
-        dyn.FreeConstantEmbedding(model, ref), model, np.geomspace(1e-3, 1e-1, 5)
-    )
+    g2 = dyn.free_particle_moments(dyn.coherent_free_constants(1.0, 1.0, 1.0, 1.0, 1.0),
+                                   1.0, 1.0, 2)
+    emb = dyn.ConstantMomentEmbedding(model, lambda hbar, n_top: {
+        idx: g2[idx.p_power] if idx.order == 2 else 0.0 for idx in moment_vars(n_top)})
+    res = dyn.order_check(emb, model, np.geomspace(1e-3, 1e-1, 5))
     assert not res.exact
     assert abs(res.slope) < 0.05

@@ -16,11 +16,11 @@ from fold_reference import exact_items
 from momentflow import oracle as orc
 from momentflow.errors import RangeError, StateError, UnsupportedProviderError
 from momentflow.moment_algebra import (
+    EPS,
     GaussianDProvider,
     MomentIndex,
     MomentPolynomial,
     SemiclassicalState,
-    SymplecticMatrix,
     bracket_general,
     bracket_moments,
     check_uncertainty_generating,
@@ -63,7 +63,8 @@ def test_index_hashable_and_sorted():
 
 def test_symplectic_matrix():
     for dof in (1, 2):
-        eps = SymplecticMatrix(dof).matrix
+        eps = np.kron(EPS, np.eye(dof))  # {q_f, p_g} = delta_fg
+        assert np.array_equal(eps[:dof, dof:], np.eye(dof))
         assert np.array_equal(eps, -eps.T)
         assert np.array_equal(eps @ eps, -np.eye(2 * dof))
 
