@@ -393,7 +393,7 @@ def squeezed(g: np.ndarray, x_point, space: FockSpace) -> np.ndarray:
     g is real symmetric 2x2 acting on the centered pair (qhat-q, phat-p).
     """
     g = np.asarray(g, dtype=float)
-    if g.shape != (2, 2) or not np.allclose(g, g.T):
+    if g.shape != (2, 2) or not np.array_equal(g, g.T):
         raise StateError("squeeze matrix must be real symmetric 2x2")
     q0, p0 = x_point
     vac = np.zeros(space.D, dtype=complex)

@@ -47,7 +47,7 @@ class SqueezeMatrix:
 
     def __init__(self, g):
         g = np.asarray(g, dtype=float)
-        if g.shape != (2, 2) or not np.allclose(g, g.T, atol=0):
+        if g.shape != (2, 2) or not np.array_equal(g, g.T):
             raise StateError("squeeze matrix must be exactly symmetric 2x2")
         self.g = g
         # A = -eps g is trace-free, so A^2 = -det(g) 1 and exp(A) = C 1 + S A
@@ -71,7 +71,9 @@ class SqueezeMatrix:
 
     def covariance(self, hbar: float) -> np.ndarray:
         """Order-2 moment matrix (hbar/2) M M^T; det = hbar^2/4 always."""
-        return 0.5 * hbar * self.map @ self.map.T
+        C = 0.5 * hbar * self.map @ self.map.T
+        C[1, 0] = C[0, 1]  # exactly symmetric, as rho_element requires
+        return C
 
 
 def _as_squeeze(g) -> SqueezeMatrix:
@@ -101,6 +103,23 @@ def squeezed_moment(g, idx: MomentIndex, hbar: float) -> float:
                                      c[1, 1]))
 
 
+def _gaussian(x, G, hbar: float):
+    """Checked centre x, G/hbar and det(1/2 + G/hbar) of the Gaussian rho(x)."""
+    x, G = np.asarray(x, dtype=float), np.asarray(G, dtype=float)
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise StateError("hbar must be finite and positive")
+    if x.shape != (2,) or G.shape != (2, 2) or G[0, 1] != G[1, 0]:
+        raise StateError("x must be a 2-vector and G a symmetric 2x2")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, refused below
+        Gh = G / hbar
+        det = np.linalg.det(0.5 * np.eye(2) + Gh)
+    if not (np.isfinite(x).all() and np.isfinite(Gh).all() and math.isfinite(det)):
+        raise StateError("x, G/hbar and det(1/2 + G/hbar) must be finite")
+    if not det > 1e-14:
+        raise DegenerateStateError("covariance makes 1/2 + G/hbar singular")
+    return x, Gh, det
+
+
 def _phase_point(alpha, hbar: float) -> np.ndarray:
     """Coherent label to a phase-space 2-vector; complex z maps to
     (sqrt(2 hbar) Re z, sqrt(2 hbar) Im z), sequences pass through."""
@@ -123,14 +142,10 @@ def rho_element(alpha, alpha_p, x, G: np.ndarray, hbar: float = 1.0) -> complex:
     passes the trace and purity checks, resolving the mixed notation of
     the source display.
     """
+    x, Gh, det = _gaussian(x, G, hbar)
     a = _phase_point(alpha, hbar)
     ap = _phase_point(alpha_p, hbar)
-    x = np.asarray(x, dtype=float)
-    Gh = np.asarray(G, dtype=float) / hbar
     M = 2 * Gh + np.eye(2)
-    det = np.linalg.det(0.5 * np.eye(2) + Gh)
-    if det <= 1e-14:
-        raise DegenerateStateError("covariance makes 1/2 + G/hbar singular")
     Minv = np.linalg.inv(M)
 
     S = (ap - a) + 1j * EPS @ (ap + a - 2 * x)
@@ -145,44 +160,46 @@ def rho_matrix(points: np.ndarray, x, G: np.ndarray, hbar: float = 1.0) -> np.nd
     labels; row index is alpha, column alpha'.  Used for quadrature checks
     (trace, purity) where N^2 scalar calls are too slow.
 
-    With u = alpha - x and u' = alpha' - x the exponent of rho_element,
-    normalization included, is a quadratic polynomial f(u) + g(u') + u^T C u'
-    (measured from x, the three terms stay small where the element is not).
-    S = A_a u + A_b u' with A_a = -I + i eps, A_b = I + i eps; with
-    M = I + 2 G/hbar and Q = eps M^{-1} eps,
+    With u = alpha - x, u' = alpha' - x, w = u_q - i u_p, M = I + 2 G/hbar,
+    Q = eps M^{-1} eps and A = -I + i eps, the exponent of rho_element,
+    normalization included, is log phi(u) + conj(log phi(u')) + c w conj(w'):
 
-        C = (-A_a^T Q A_b + i eps + I) / (2 hbar),
-        f(u) = -u^T (A_a^T Q A_a + I) u / (4 hbar) + i u^T eps x / (2 hbar)
-               - log det(1/2 + G/hbar) / 2,
-        g(u') = -u'^T (A_b^T Q A_b + I) u' / (4 hbar) - i u'^T eps x / (2 hbar).
+        log phi(u) = -u^T (A^T Q A + I) u / (4 hbar) + i u^T eps x / (2 hbar)
+                     - log det(1/2 + G/hbar) / 4,
+        c = (1 - tr M / det M) / (2 hbar) = (4 det(G/hbar) - 1) / (2 hbar det M),
 
-    The matrix is one (N, 2) x (2, N) matmul written into the output, two
-    broadcast adds and one in-place exp: the returned N x N array is the
-    only N x N allocation.
+    so c = 0 exactly when the state is pure (det G = hbar^2/4).  Where
+    |c| max|w|^2 <= 2^-26, exp(c w conj(w')) is 1 + c w conj(w') to unit
+    round-off (the remainder is at most t^2 e^|t| / 2 ~ 2^-53 at
+    t = c w conj(w')), and the matrix is the rank-two product
+    Phi diag(1, c) Phi^H with Phi = [phi, phi w]: one (N, 2) x (2, N)
+    matmul written into the output.  The bound, not c == 0, picks this
+    path, since a SqueezeMatrix covariance is pure only up to round-off.
+    Otherwise the state is mixed: c w conj(w') is written into the output,
+    both log phi are added and one in-place exp follows.  Either way the
+    returned N x N array is the only N x N allocation.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise StateError("points must have shape (N, 2)")
-    x = np.asarray(x, dtype=float)
-    Gh = np.asarray(G, dtype=float) / hbar
-    det = np.linalg.det(0.5 * np.eye(2) + Gh)
-    if det <= 1e-14:
-        raise DegenerateStateError("covariance makes 1/2 + G/hbar singular")
-    Q = EPS @ np.linalg.inv(2 * Gh + np.eye(2)) @ EPS
-    A_a = -np.eye(2) + 1j * EPS
-    A_b = np.eye(2) + 1j * EPS
-    C = (-A_a.T @ Q @ A_b + 1j * EPS + np.eye(2)) / (2 * hbar)
-    F_a = -(A_a.T @ Q @ A_a + np.eye(2)) / (4 * hbar)
-    F_b = -(A_b.T @ Q @ A_b + np.eye(2)) / (4 * hbar)
-    lin = (1j / (2 * hbar)) * (EPS @ x)
+    x, Gh, det = _gaussian(x, G, hbar)
+    M = 2 * Gh + np.eye(2)
+    Q = EPS @ np.linalg.inv(M) @ EPS
+    A = -np.eye(2) + 1j * EPS
+    F = -(A.T @ Q @ A + np.eye(2)) / (4 * hbar)
+    c = (1 - np.trace(M) / np.linalg.det(M)) / (2 * hbar)
 
     u = pts - x
-    f = ((u @ F_a) * u).sum(axis=1) + u @ lin - 0.5 * math.log(det)
-    g = ((u @ F_b) * u).sum(axis=1) - u @ lin
+    w = u[:, 0] - 1j * u[:, 1]
+    log_phi = ((u @ F) * u).sum(axis=1) + (1j / (2 * hbar)) * (u @ (EPS @ x)) - 0.25 * math.log(det)
     R = np.empty((len(u), len(u)), dtype=complex)
-    np.matmul(u @ C, u.T, out=R)
-    R += f[:, None]
-    R += g[None, :]
+    if abs(c) * np.max(np.abs(w) ** 2, initial=0.0) <= 2.0**-26:
+        phi = np.exp(log_phi)
+        Phi = np.stack([phi, phi * w], axis=1)
+        return np.matmul(Phi * [1.0, c], Phi.conj().T, out=R)
+    np.multiply.outer(c * w, w.conj(), out=R)
+    R += log_phi[:, None]
+    R += log_phi.conj()[None, :]
     return np.exp(R, out=R)
 
 

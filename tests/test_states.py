@@ -30,6 +30,12 @@ def test_squeeze_matrix_validation():
         states.SqueezeMatrix([[0.0, 0.1], [0.2, 0.0]])
     with pytest.raises(StateError):
         states.SqueezeMatrix(np.zeros((3, 3)))
+    # symmetric only to rtol 1e-5: its map would not have det 1
+    near = [[0.2, 0.1], [0.1000009, 0.3]]
+    with pytest.raises(StateError):
+        states.SqueezeMatrix(near)
+    with pytest.raises(StateError):
+        orc.squeezed(near, (0.0, 0.0), orc.FockSpace(10))
 
 
 def test_squeeze_map_unit_determinant(rng):
@@ -178,6 +184,71 @@ def test_rho_element_on_peak_diagonal():
     assert val.real == pytest.approx(1.0 / math.sqrt(np.linalg.det(0.5 * np.eye(2) + Gm)))
 
 
+def _cross_scale(pts, x, Gm, hbar):
+    """|c| max|w|^2 of the rho_matrix docstring, with c by its second closed
+    form (4 det(G/hbar) - 1) / (2 hbar det(I + 2 G/hbar)); the rank-two path
+    is taken where it is at most 2^-26."""
+    Gh = np.asarray(Gm) / hbar
+    c = (4 * np.linalg.det(Gh) - 1) / (2 * hbar * np.linalg.det(np.eye(2) + 2 * Gh))
+    u = np.asarray(pts) - x
+    return abs(c) * np.max(u[:, 0] ** 2 + u[:, 1] ** 2)
+
+
+def _coherent_rows(pts, hbar, D):
+    # row i holds <n|alpha_i>, the label z = (q + i p) / sqrt(2 hbar)
+    return np.array([orc.coherent(complex(q, p) / math.sqrt(2 * hbar), D) for q, p in pts])
+
+
+def test_rho_matrix_pure_path_matches_oracle(rng):
+    # <alpha_i| psi><psi |alpha_j> for the exact squeezed state in the Fock basis
+    hbar, D = 1.0, 90
+    g = np.array([[0.25, 0.1], [0.1, -0.15]])
+    x = np.array([0.3, -0.1])
+    Gm = states.SqueezeMatrix(g).covariance(hbar)
+    pts = x + rng.uniform(-2, 2, size=(10, 2))
+    assert _cross_scale(pts, x, Gm, hbar) <= 2.0**-26
+    amps = _coherent_rows(pts, hbar, D).conj() @ orc.squeezed(g, x, orc.FockSpace(D))
+    R = states.rho_matrix(pts, x, Gm, hbar)
+    assert np.abs(R - np.outer(amps, amps.conj())).max() <= 1e-12
+
+
+def test_rho_matrix_exp_path_matches_thermal_oracle(rng):
+    # the thermal state sum_n p_n |n><n|, p_n = nbar^n / (1 + nbar)^(n+1), has
+    # G = (nbar + 1/2) hbar 1 and is mixed
+    hbar, D, nbar = 1.0, 90, 0.4
+    Gm = (nbar + 0.5) * hbar * np.eye(2)
+    pts = rng.uniform(-2, 2, size=(10, 2))
+    assert _cross_scale(pts, np.zeros(2), Gm, hbar) > 2.0**-26
+    A = _coherent_rows(pts, hbar, D)
+    p = nbar ** np.arange(D) / (1 + nbar) ** np.arange(1, D + 1)
+    R = states.rho_matrix(pts, np.zeros(2), Gm, hbar)
+    assert np.abs(R - (A.conj() * p) @ A.T).max() <= 1e-12
+
+
+_half = st.floats(-0.5, 0.5)
+_offset = st.tuples(st.floats(-6, 6), st.floats(-6, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(_half, _half, _half), st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+       st.floats(0.3, 3.0), st.one_of(st.sampled_from([1.0, 1 + 1e-10]), st.floats(1.05, 3.0)),
+       st.lists(_offset, min_size=1, max_size=6))
+def test_rho_matrix_agrees_on_both_paths(e, x, hbar, s, offsets):
+    # s = 1 is pure, s = 1 + 1e-10 lies on either side of the 2^-26 bound and
+    # s >= 1.05 is mixed.  The exponent c w conj(w') carries a rounding error
+    # of its size, so the Hermitian bound is 1e-15 max|R| on the rank-two path
+    # and grows with |c| max|w|^2 on the exp path
+    Gm = s * states.SqueezeMatrix([[e[0], e[1]], [e[1], e[2]]]).covariance(hbar)
+    x = np.array(x)
+    pts = x + np.array(offsets)
+    R = states.rho_matrix(pts, x, Gm, hbar)
+    for i, j in itertools.product(range(len(pts)), repeat=2):
+        assert R[i, j] == pytest.approx(
+            states.rho_element(pts[i], pts[j], x, Gm, hbar), rel=1e-12, abs=1e-14)
+    bound = 1e-15 * (1 + _cross_scale(pts, x, Gm, hbar)) * np.abs(R).max()
+    assert np.abs(R - R.conj().T).max() <= bound
+
+
 def test_rho_matrix_matches_scalar(rng):
     # points spread over +-6 around an off-centre x, where the exponent is
     # large and f(alpha) + g(alpha') + alpha^T C alpha' must cancel
@@ -216,30 +287,72 @@ def test_rho_trace_and_purity():
     assert purity == pytest.approx(1.0, abs=1e-5)
 
 
+def test_rho_mixed_purity():
+    # twice a pure covariance: det G = hbar^2 and purity hbar / (2 sqrt det G) = 1/2;
+    # the wider diagonal loses 5e-6 of its trace beyond the half-width 6
+    Gm = 2 * states.SqueezeMatrix([[0.25, 0.1], [0.1, -0.15]]).covariance(1.0)
+    x = np.array([0.3, -0.1])
+    pts, dA = _lattice(x, 6.0, 41)
+    assert _cross_scale(pts, x, Gm, 1.0) > 2.0**-26
+    R = states.rho_matrix(pts, x, Gm, 1.0)
+    w = dA / (2 * math.pi)
+    assert np.sum(np.diag(R)).real * w == pytest.approx(1.0, abs=1e-5)
+    purity = np.einsum("ab,ba->", R, R).real * w**2
+    assert purity == pytest.approx(1.0 / (2 * math.sqrt(np.linalg.det(Gm))), abs=1e-6)
+
+
 def test_rho_matrix_allocates_only_its_output():
     # on the 41 x 41 grid of the rho-quadrature benchmark the returned
-    # matrix is the only N x N buffer (numpy reports buffers to tracemalloc)
-    Gm = states.SqueezeMatrix([[0.25, 0.1], [0.1, -0.15]]).covariance(1.0)
+    # matrix is the only N x N buffer (numpy reports buffers to tracemalloc),
+    # on the rank-two path (s = 1) and on the exp path (s = 2)
     x = np.array([0.3, -0.1])
     pts, _ = _lattice(x, 6.0, 41)
-    tracemalloc.start()
-    try:
-        R = states.rho_matrix(pts, x, Gm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert R.shape == (1681, 1681)
-    assert peak <= 1.1 * R.nbytes
+    for s in (1.0, 2.0):
+        Gm = s * states.SqueezeMatrix([[0.25, 0.1], [0.1, -0.15]]).covariance(1.0)
+        tracemalloc.start()
+        try:
+            R = states.rho_matrix(pts, x, Gm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert R.shape == (1681, 1681)
+        assert peak <= 1.1 * R.nbytes
+        del R
 
 
 def test_rho_degenerate_guard():
     with pytest.raises(DegenerateStateError):
         states.rho_element(0.0j, 0.0j, np.zeros(2), -0.5 * np.eye(2))
+    with pytest.raises(DegenerateStateError):
+        states.rho_matrix(np.zeros((4, 2)), np.zeros(2), -0.5 * np.eye(2))
+
+
+#: (x, G, hbar) that rho_element and rho_matrix refuse: a NaN, an inf or an
+#: asymmetric G, a wrong shape, a NaN x, hbar not finite and positive, and a
+#: G whose det(1/2 + G/hbar) overflows
+_BAD_RHO_INPUTS = [
+    (np.zeros(2), [[np.nan, 0.0], [0.0, 0.5]], 1.0),
+    (np.zeros(2), [[np.inf, 0.0], [0.0, 0.5]], 1.0),
+    (np.zeros(2), [[0.5, 0.1], [0.2, 0.5]], 1.0),
+    (np.zeros(2), np.eye(3), 1.0),
+    (np.zeros(3), _vac_G(1.0), 1.0),
+    ([np.nan, 0.0], _vac_G(1.0), 1.0),
+    (np.zeros(2), _vac_G(1.0), 0.0),
+    (np.zeros(2), _vac_G(1.0), -1.0),
+    (np.zeros(2), _vac_G(1.0), np.nan),
+    (np.zeros(2), _vac_G(1.0), np.inf),
+    (np.zeros(2), [[1e300, 0.0], [0.0, 1e300]], 1.0),
+]
 
 
 def test_rho_matrix_input_check():
     with pytest.raises(StateError):
         states.rho_matrix(np.zeros((4, 3)), np.zeros(2), _vac_G(1.0))
+    for x, Gm, hbar in _BAD_RHO_INPUTS:
+        with pytest.raises(StateError):
+            states.rho_matrix(np.zeros((4, 2)), x, Gm, hbar)
+        with pytest.raises(StateError):
+            states.rho_element(0.0j, 0.0j, x, Gm, hbar)
 
 
 # -- symplectic pull-back ----------------------------------------------------
