@@ -317,7 +317,6 @@ def test_rho_matrix_allocates_only_its_output():
             tracemalloc.stop()
         assert R.shape == (1681, 1681)
         assert peak <= 1.1 * R.nbytes
-        del R
 
 
 def test_rho_degenerate_guard():
