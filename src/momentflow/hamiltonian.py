@@ -29,6 +29,8 @@ from .moment_algebra import (
     SemiclassicalState,
     _SORT_KEY,
     _accumulate,
+    _bracket_moment_terms,
+    _mul,
     bracket_general,
     gaussian_pairings,
     moment_vars,
@@ -252,14 +254,14 @@ class EquationSystem:
         idx = np.full((int(lens.max(initial=0)), len(eqs)), one, dtype=np.intp)
         idx.T[np.arange(len(idx)) < lens[:, None]] = flat
         eq, z, F = np.array(eqs, np.intp), np.ones(one + 1), np.empty((len(idx) + 1, len(eqs)))
-        F[0] = coeffs
+        F[0], factors = coeffs, F[1:]
         xpows = [(s, e, zs) for (s, e), zs in powers.items()]
 
         def rhs_fn(y: np.ndarray) -> np.ndarray:
             z[:n] = y
             for s, e, zs in xpows:
                 z[zs] = y[s] ** e
-            np.take(z, idx, out=F[1:], mode="clip")
+            z.take(idx, out=factors, mode="clip")
             return np.bincount(eq, np.multiply.reduce(F, axis=0), minlength=n)
 
         return rhs_fn
@@ -350,8 +352,14 @@ def generate_eom(HQ: QuantumHamiltonian, closure: str = "zero") -> EquationSyste
     rhs: dict[object, MomentPolynomial] = {}
     for var in HQ.xvars:
         rhs[var] = bracket_general(MomentPolynomial.x_var(var), HQ.poly, pairs, scale)
+    # a moment has no classical part: its bracket with H_Q is bracket_general's
+    # moment block alone, over H_Q's moment terms sorted once; (1, 0, (), (g,))
+    # is the one term of MomentPolynomial.moment(g)
+    hq_moments = [t for t in HQ.poly.terms() if t[3]]
     for g in mvars:
-        rhs[g] = bracket_general(MomentPolynomial.moment(g), HQ.poly, pairs, scale)
+        acc = {}
+        _bracket_moment_terms(acc, ((Fraction(1), 0, (), (g,)),), hq_moments, scale)
+        rhs[g] = MomentPolynomial._of(acc)
 
     # close moments above n_max in one pass per term.  A term holds at most
     # one of them, since the bilinear bracket factors have order <= n_max - 1,
@@ -371,9 +379,9 @@ def generate_eom(HQ: QuantumHamiltonian, closure: str = "zero") -> EquationSyste
             if g not in closed:
                 closed[g] = closure_apply(closure, g)
             for (hc, _, gc), cc in closed[g]._terms.items():
-                if cc := c * cc:
+                if cc := _mul(c, cc):
                     _accumulate(acc, (h + hc, x, tuple(sorted(rest + gc, key=_SORT_KEY))), cc)
-        rhs[var] = MomentPolynomial(acc)
+        rhs[var] = MomentPolynomial._of(acc)
 
     return EquationSystem(HQ.xvars, mvars, rhs, HQ.model, HQ.n_max, closure)
 

@@ -73,10 +73,15 @@ class MomentIndex:
             raise RangeError("q_powers and p_powers must have equal length")
         if powers and min(powers) < 0:
             raise RangeError("moment powers must be non-negative")
-        # every bracket and term sort reads these: compute them once.  The
-        # hash is the dataclass's own, so set and dict order do not change.
-        order = sum(powers)
-        self.__dict__.update(order=order, _key=(order, q, p), _hash=hash((q, p)))
+        _fill_index(self, q, p, sum(powers))
+
+    @classmethod
+    def _unchecked(cls, q: tuple[int, ...], p: tuple[int, ...], order: int) -> "MomentIndex":
+        """The index of non-negative powers ``q``, ``p`` of total ``order``,
+        built without the checks of ``__post_init__``."""
+        g = object.__new__(cls)
+        _fill_index(g, q, p, order)
+        return g
 
     def __hash__(self):
         return self._hash
@@ -112,6 +117,13 @@ class MomentIndex:
         if self.dof == 1:
             return f"G_{self.p_powers[0]}_{self.order}"
         return "G_" + "_".join(map(str, self.q_powers + self.p_powers))
+
+
+def _fill_index(g: MomentIndex, q: tuple[int, ...], p: tuple[int, ...], order: int) -> None:
+    # every bracket and term sort reads these: compute them once.  The hash
+    # is the dataclass's own, so set and dict order do not change.
+    g.__dict__.update({"q_powers": q, "p_powers": p, "order": order,
+                       "_key": (order, q, p), "_hash": hash((q, p))})
 
 
 #: sort key of a MomentIndex, read without a Python-level call
@@ -170,6 +182,17 @@ def _as_xmono(spec: Mapping[str, object] | _XMono) -> _XMono:
     return tuple(sorted(out))
 
 
+def _mul(x: _CoeffT, y: _CoeffT) -> _CoeffT:
+    """``x * y``.  A float and a Fraction multiply as floats, by Fraction's
+    own rule for mixed operands; here without its dispatch through the
+    ``numbers`` ABCs, which costs more than the product."""
+    if type(x) is float and type(y) is Fraction:
+        return x * (y.numerator / y.denominator)
+    if type(y) is float and type(x) is Fraction:
+        return x.numerator / x.denominator * y
+    return x * y
+
+
 def _accumulate(acc: dict, key: tuple, c: _CoeffT) -> None:
     """Add ``c`` to ``acc[key]`` in place: a key whose partial sum cancels is
     dropped, and a later term restarts it from 0."""
@@ -197,6 +220,14 @@ class MomentPolynomial:
 
     def __init__(self, terms: Mapping[tuple, _CoeffT] | None = None):
         self._terms: dict[tuple, _CoeffT] = {k: c for k, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def _of(cls, terms: dict[tuple, _CoeffT]) -> "MomentPolynomial":
+        """The polynomial over ``terms`` itself, which holds no zero
+        coefficient: no filtering pass and no copy."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
 
     @classmethod
     def sum(cls, polys: Iterable["MomentPolynomial"]) -> "MomentPolynomial":
@@ -422,34 +453,18 @@ class SemiclassicalState:
 # brackets
 
 
-def _bracket_linear_terms(a, b, c, d):
-    """Yield (coeff, hbar_power, result_q, result_p) for the linear part.
-
-    Derived from the sine term of the characteristic-function identity:
-    contractions u_f pair position powers of the first index with momentum
-    powers of the second, v_f the reverse; u + v summing to an odd total
-    2r + 1 carries weight (hbar/2)^{2r}.
-    """
-    N = len(a)
-    # weight of k contractions of one kind in DOF f: C(x, k) C(y, k) k!
-    wu = [[math.comb(a[f], k) * math.comb(d[f], k) * math.factorial(k)
-           for k in range(min(a[f], d[f]) + 1)] for f in range(N)]
-    wv = [[math.comb(b[f], k) * math.comb(c[f], k) * math.factorial(k)
-           for k in range(min(b[f], c[f]) + 1)] for f in range(N)]
-    ac, bd = tuple(map(add, a, c)), tuple(map(add, b, d))
-    for u in product(*map(range, map(len, wu))):
-        su = sum(u)
-        for v in product(*map(range, map(len, wv))):
-            sv = sum(v)
-            m = su + sv
-            if m % 2 == 0:
-                continue
-            r = (m - 1) // 2
-            num = -1 if (r + sv) % 2 else 1
-            for f in range(N):
-                num *= wu[f][u[f]] * wv[f][v[f]]
-            e = tuple(map(add, u, v))
-            yield Fraction(num, 4**r), 2 * r, tuple(map(sub, ac, e)), tuple(map(sub, bd, e))
+def _contractions(xs: tuple[int, ...], ys: tuple[int, ...], sign: int) -> list[tuple]:
+    """(k, sum k, weight) of every tuple of contraction counts k_f between
+    xs[f] and ys[f] factors, in ``itertools.product`` order: k_f
+    contractions weigh sign^{k_f} C(x, k_f) C(y, k_f) k_f!."""
+    out = [((), 0, 1)]
+    for x, y in zip(xs, ys):
+        ws, w = [], 1
+        for k in range(min(x, y) + 1):
+            ws.append((k, w))
+            w = w * (x - k) * (y - k) // (k + 1) * sign
+        out = [(t + (k,), s + k, p * w) for t, s, p in out for k, w in ws]
+    return out
 
 
 def bracket_moments(i1: MomentIndex, i2: MomentIndex) -> MomentPolynomial:
@@ -458,29 +473,52 @@ def bracket_moments(i1: MomentIndex, i2: MomentIndex) -> MomentPolynomial:
     The result is state independent: hbar^{2r}-weighted linear terms plus
     the bilinear terms coupling each index to a once-lowered partner.  An
     order-0 result factor is the constant 1 and an order-1 factor vanishes.
+
+    The linear part is the sine term of the characteristic-function
+    identity: contractions u_f pair position powers of the first index with
+    momentum powers of the second, v_f the reverse; u + v summing to an odd
+    total 2r + 1 carries (-1)^(r + sum v) (hbar/2)^{2r} times the weight of
+    the contractions.  Terms sharing e = u + v share a result moment and
+    the denominator 4^r, so their integer numerators add up by e, in
+    (u, v) order and restarting where a partial sum cancels, and each
+    result key gets one ``Fraction``.
     """
     if i1.order < 2 or i2.order < 2:
         raise RangeError("bracket_moments needs both orders >= 2")
-    if i1.dof != i2.dof:
-        raise RangeError("mismatched degree-of-freedom count")
     a, b = i1.q_powers, i1.p_powers
     c, d = i2.q_powers, i2.p_powers
+    if len(a) != len(c):
+        raise RangeError("mismatched degree-of-freedom count")
+
+    # integer numerators by e, (-1)^(sum v) in the v weights, (-1)^r below
+    vs = _contractions(b, c, -1)
+    nums: dict[tuple, int] = {}
+    for u, su, wu in _contractions(a, d, 1):
+        for v, sv, wv in vs:
+            if (su + sv) % 2:
+                _accumulate(nums, tuple(map(add, u, v)), wu * wv)
 
     acc: dict[tuple, _CoeffT] = {}
-    for coeff, hpow, rq, rp in _bracket_linear_terms(a, b, c, d):
-        g = MomentIndex(rq, rp)
-        if g.order != 1:
-            _accumulate(acc, (hpow, (), (g,) if g.order else ()), coeff)
+    ac, bd, n = tuple(map(add, a, c)), tuple(map(add, b, d)), i1.order + i2.order
+    for e, num in nums.items():
+        r = sum(e) // 2
+        order = n - 4 * r - 2
+        if order != 1:
+            g = MomentIndex._unchecked(tuple(map(sub, ac, e)), tuple(map(sub, bd, e)), order)
+            acc[2 * r, (), (g,) if order else ()] = Fraction(-num if r % 2 else num, 4**r)
     # the lowered partners have orders i1.order - 1 and i2.order - 1
     if i1.order > 2 and i2.order > 2:
-        for f in range(i1.dof):
+        lo1, lo2 = i1.order - 1, i2.order - 1
+        for f in range(len(a)):
             if a[f] * d[f]:
-                _accumulate(acc, _pair_key(MomentIndex(_dec(a, f), b), MomentIndex(c, _dec(d, f))),
+                _accumulate(acc, _pair_key(MomentIndex._unchecked(_dec(a, f), b, lo1),
+                                           MomentIndex._unchecked(c, _dec(d, f), lo2)),
                             Fraction(-a[f] * d[f]))
             if b[f] * c[f]:
-                _accumulate(acc, _pair_key(MomentIndex(a, _dec(b, f)), MomentIndex(_dec(c, f), d)),
+                _accumulate(acc, _pair_key(MomentIndex._unchecked(a, _dec(b, f), lo1),
+                                           MomentIndex._unchecked(_dec(c, f), d, lo2)),
                             Fraction(b[f] * c[f]))
-    return MomentPolynomial(acc)
+    return MomentPolynomial._of(acc)
 
 
 def _pair_key(g1: MomentIndex, g2: MomentIndex) -> tuple:
@@ -561,33 +599,46 @@ def bracket_general(
     coefficient ``cP * cQ * (c * scale^(h+1))``.  Order and arithmetic are those of
     ``MomentPolynomial.sum`` over the products ``term * bracket_moments``.
     """
-    zero, acc = MomentPolynomial(), {}
-    for qv, pv in pairs:
-        # a product with an empty factor is empty: take Q's partials only where P's are not
-        dPq, dPp = P.diff_x(qv), P.diff_x(pv)
-        classical = scale * ((dPq * Q.diff_x(pv) if dPq else zero) - (dPp * Q.diff_x(qv) if dPp else zero))
-        for key, c in classical._terms.items():
-            _accumulate(acc, key, c)
+    acc = {}
+    # without a classical monomial in P, every partial of P is 0
+    if any(x for _, x, _ in P._terms):
+        zero = MomentPolynomial()
+        for qv, pv in pairs:
+            # a product with an empty factor is empty: take Q's partials only where P's are not
+            dPq, dPp = P.diff_x(qv), P.diff_x(pv)
+            classical = scale * ((dPq * Q.diff_x(pv) if dPq else zero) - (dPp * Q.diff_x(qv) if dPp else zero))
+            for key, c in classical._terms.items():
+                _accumulate(acc, key, c)
+    _bracket_moment_terms(acc, [t for t in P.terms() if t[3]], [t for t in Q.terms() if t[3]], scale)
+    return MomentPolynomial._of(acc)
+
+
+def _bracket_moment_terms(acc: dict, P_moments: list, Q_moments: list, scale: _CoeffT) -> None:
+    """Add the moment part of {P, Q} to ``acc``, from the sorted ``terms()``
+    of P and of Q that carry moment factors; see :func:`bracket_general`.
+    Each distinct pair of factors is bracketed once per call."""
     # a product with Fraction(1) leaves every coefficient as it is: skip it
     scaled = scale != 1 or not isinstance(scale, Fraction)
-    P_moments = [t for t in P.terms() if t[3]]
-    Q_moments = [t for t in Q.terms() if t[3]]
+    brackets: dict[tuple, list] = {}  # (gi, gj) -> [(h, moments, c * scale^(h+1))]
     for cP, hP, xP, gP in P_moments:
         for cQ, hQ, xQ, gQ in Q_moments:
-            base_c = cP * cQ
+            base_c = _mul(cP, cQ)
             base_h = hP + hQ
-            base_x = _merge_monos(xP, xQ)
+            base_x = _merge_monos(xP, xQ) if xP and xQ else xP or xQ
             for i, gi in enumerate(gP):
                 rest_p = gP[:i] + gP[i + 1 :]
                 for j, gj in enumerate(gQ):
                     rest = rest_p + gQ[:j] + gQ[j + 1 :]
-                    for (h, _, gs), c in bracket_moments(gi, gj)._terms.items():
-                        c = base_c * (c * scale ** (h + 1) if scaled else c)
+                    terms = brackets.get((gi, gj))
+                    if terms is None:
+                        terms = brackets[gi, gj] = [(h, gs, c * scale ** (h + 1) if scaled else c)
+                                                    for (h, _, gs), c in bracket_moments(gi, gj)._terms.items()]
+                    for h, gs, c in terms:
+                        c = _mul(base_c, c)
                         if c:
                             if rest:
                                 gs = tuple(sorted(rest + gs, key=_SORT_KEY))
                             _accumulate(acc, (base_h + h, base_x, gs), c)
-    return MomentPolynomial(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 import fold_reference as fold
 from fold_reference import exact_items
+from momentflow import moment_algebra
 from momentflow.errors import ConfigError, DomainError
 from momentflow.hamiltonian import (
     ClassicalHamiltonian,
@@ -253,7 +254,7 @@ def test_compile_bit_identical_to_term_loop(kind, n_max, closure, rng):
 
 @pytest.mark.parametrize("kind,n_max,closure", [
     (kind, n_max, closure) for closure in ("zero", "gaussian-factorize")
-    for kind, n_max in (("quartic", 6), ("sextic", 4), ("cosmology", 4))])
+    for kind, n_max in (("quartic", 6), ("quartic", 10), ("sextic", 4), ("cosmology", 4))])
 def test_generate_eom_equals_fold_reference(kind, n_max, closure):
     # the one-dict bracket and closure passes against the polynomial fold:
     # the same terms in the same key order, with the same coefficients
@@ -263,6 +264,28 @@ def test_generate_eom_equals_fold_reference(kind, n_max, closure):
     assert list(system.rhs) == list(want)
     for var, poly in want.items():
         assert exact_items(system.rhs[var]) == exact_items(poly)
+
+
+def test_generate_eom_brackets_each_factor_pair_once(monkeypatch):
+    # quartic H_Q has four distinct moment factors (G_2_2, G_0_2, G_0_3, G_0_4;
+    # G_0_2 both bare and times q^2): each of the 42 moments at n_max 8 is
+    # bracketed once with each of them, and a second derivation repeats every
+    # call, so nothing is carried over from the first
+    calls = []
+    bracket = moment_algebra.bracket_moments
+
+    def counted(i1, i2):
+        calls.append((i1, i2))
+        return bracket(i1, i2)
+
+    monkeypatch.setattr(moment_algebra, "bracket_moments", counted)
+    HQ = expand_quantum_hamiltonian(ClassicalHamiltonian(potential=PotentialSpec.quartic(0.1)), 8)
+    first = generate_eom(HQ)
+    assert len(calls) == 168 == 42 * 4
+    assert len(set(calls)) == 168
+    second = generate_eom(HQ)
+    assert calls[168:] == calls[:168]
+    assert first.listing_json() == second.listing_json()
 
 
 def test_compile_returns_fresh_arrays(rng):

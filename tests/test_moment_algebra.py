@@ -280,11 +280,14 @@ def test_bracket_general_equals_fold_reference(P, Q, scale):
 
 
 def test_bracket_moments_equals_fold_reference():
-    one = [g for n in range(2, 7) for g in moment_indices(n, 1)]
-    two = [g for n in range(2, 5) for g in moment_indices(n, 2)]
-    for idxs in (one, two):
-        for i1 in idxs:
-            for i2 in idxs:
+    # 1 DOF: orders 2-12, the derive benchmark's range, against orders 2-4,
+    # H_Q's; 2 DOF: orders 2-5, where partial sums of the linear terms
+    # cancel and restart (G_1_1_2_1 with G_2_1_1_1)
+    one = [g for n in range(2, 13) for g in moment_indices(n, 1)]
+    two = [g for n in range(2, 6) for g in moment_indices(n, 2)]
+    for left, right in ((one, one[:12]), (one[:12], one), (two, two)):
+        for i1 in left:
+            for i2 in right:
                 assert exact_items(bracket_moments(i1, i2)) == exact_items(fold.bracket_moments(i1, i2))
 
 
