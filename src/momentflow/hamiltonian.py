@@ -30,7 +30,6 @@ from .moment_algebra import (
     _SORT_KEY,
     _accumulate,
     _bracket_moment_terms,
-    _mul,
     bracket_general,
     gaussian_pairings,
     moment_vars,
@@ -353,12 +352,11 @@ def generate_eom(HQ: QuantumHamiltonian, closure: str = "zero") -> EquationSyste
     for var in HQ.xvars:
         rhs[var] = bracket_general(MomentPolynomial.x_var(var), HQ.poly, pairs, scale)
     # a moment has no classical part: its bracket with H_Q is bracket_general's
-    # moment block alone, over H_Q's moment terms sorted once; (1, 0, (), (g,))
-    # is the one term of MomentPolynomial.moment(g)
+    # moment block alone, over H_Q's moment terms sorted once
     hq_moments = [t for t in HQ.poly.terms() if t[3]]
     for g in mvars:
         acc = {}
-        _bracket_moment_terms(acc, ((Fraction(1), 0, (), (g,)),), hq_moments, scale)
+        _bracket_moment_terms(acc, MomentPolynomial.moment(g).terms(), hq_moments, scale)
         rhs[g] = MomentPolynomial._of(acc)
 
     # close moments above n_max in one pass per term.  A term holds at most
@@ -379,7 +377,7 @@ def generate_eom(HQ: QuantumHamiltonian, closure: str = "zero") -> EquationSyste
             if g not in closed:
                 closed[g] = closure_apply(closure, g)
             for (hc, _, gc), cc in closed[g]._terms.items():
-                if cc := _mul(c, cc):
+                if cc := c * cc:
                     _accumulate(acc, (h + hc, x, tuple(sorted(rest + gc, key=_SORT_KEY))), cc)
         rhs[var] = MomentPolynomial._of(acc)
 

@@ -182,17 +182,6 @@ def _as_xmono(spec: Mapping[str, object] | _XMono) -> _XMono:
     return tuple(sorted(out))
 
 
-def _mul(x: _CoeffT, y: _CoeffT) -> _CoeffT:
-    """``x * y``.  A float and a Fraction multiply as floats, by Fraction's
-    own rule for mixed operands; here without its dispatch through the
-    ``numbers`` ABCs, which costs more than the product."""
-    if type(x) is float and type(y) is Fraction:
-        return x * (y.numerator / y.denominator)
-    if type(y) is float and type(x) is Fraction:
-        return x.numerator / x.denominator * y
-    return x * y
-
-
 def _accumulate(acc: dict, key: tuple, c: _CoeffT) -> None:
     """Add ``c`` to ``acc[key]`` in place: a key whose partial sum cancels is
     dropped, and a later term restarts it from 0."""
@@ -622,7 +611,7 @@ def _bracket_moment_terms(acc: dict, P_moments: list, Q_moments: list, scale: _C
     brackets: dict[tuple, list] = {}  # (gi, gj) -> [(h, moments, c * scale^(h+1))]
     for cP, hP, xP, gP in P_moments:
         for cQ, hQ, xQ, gQ in Q_moments:
-            base_c = _mul(cP, cQ)
+            base_c = cP * cQ
             base_h = hP + hQ
             base_x = _merge_monos(xP, xQ) if xP and xQ else xP or xQ
             for i, gi in enumerate(gP):
@@ -634,7 +623,7 @@ def _bracket_moment_terms(acc: dict, P_moments: list, Q_moments: list, scale: _C
                         terms = brackets[gi, gj] = [(h, gs, c * scale ** (h + 1) if scaled else c)
                                                     for (h, _, gs), c in bracket_moments(gi, gj)._terms.items()]
                     for h, gs, c in terms:
-                        c = _mul(base_c, c)
+                        c = base_c * c
                         if c:
                             if rest:
                                 gs = tuple(sorted(rest + gs, key=_SORT_KEY))

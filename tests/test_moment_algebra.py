@@ -280,12 +280,15 @@ def test_bracket_general_equals_fold_reference(P, Q, scale):
 
 
 def test_bracket_moments_equals_fold_reference():
-    # 1 DOF: orders 2-12, the derive benchmark's range, against orders 2-4,
-    # H_Q's; 2 DOF: orders 2-5, where partial sums of the linear terms
+    # 1 DOF: every pair of orders 2-6 (G_0_6 with G_6_6 is the only one at
+    # r = 2), and orders 2-12, the derive benchmark's range, against orders
+    # 2-4, H_Q's; 2 DOF: orders 2-5, where partial sums of the linear terms
     # cancel and restart (G_1_1_2_1 with G_2_1_1_1)
     one = [g for n in range(2, 13) for g in moment_indices(n, 1)]
     two = [g for n in range(2, 6) for g in moment_indices(n, 2)]
-    for left, right in ((one, one[:12]), (one[:12], one), (two, two)):
+    upto4, upto6 = one[:12], one[:25]
+    assert {g.order for g in upto4} == {2, 3, 4} and {g.order for g in upto6} == set(range(2, 7))
+    for left, right in ((upto6, upto6), (one[25:], upto4), (upto4, one[25:]), (two, two)):
         for i1 in left:
             for i2 in right:
                 assert exact_items(bracket_moments(i1, i2)) == exact_items(fold.bracket_moments(i1, i2))
