@@ -9,10 +9,10 @@ the run, demonstrating the flagged partial trajectory and its stop cause.
 """
 
 from momentflow import (
-    ClassicalHamiltonian,
     CosmologyParams,
     SemiclassicalState,
     cosmology_effective_rhs,
+    cosmology_hamiltonian,
     cosmology_moments,
     expand_quantum_hamiltonian,
     generate_eom,
@@ -32,7 +32,7 @@ for p in (1.0, 4.0, 16.0, 64.0):
 # small-p region and eventually make the integration fail; the trajectory
 # up to that point is still returned, flagged incomplete
 strong = CosmologyParams(g0=1.0, g32=0.0, g3=1.0, hbar=1.0)
-model = ClassicalHamiltonian(kind="cosmology", gamma=1.0, kappa=1.0, E=1.0)
+model = cosmology_hamiltonian(gamma=1.0, kappa=1.0, E=1.0)
 system = generate_eom(expand_quantum_hamiltonian(model, 2))
 c0, p0 = -0.5, 1.0
 s0 = SemiclassicalState(1.0, {"c": c0, "p": p0}, cosmology_moments(strong, c0, p0), 2)

@@ -60,6 +60,7 @@ from .hamiltonian import (
     CLOSURES,
     ClassicalHamiltonian,
     PotentialSpec,
+    cosmology_hamiltonian,
     expand_quantum_hamiltonian,
     from_dimensionless,
     generate_eom,
@@ -180,8 +181,7 @@ MODELS = {
         m=cfg["m"], omega=cfg["omega"], potential=PotentialSpec.quartic(cfg["delta"])),
         frozenset({"m", "omega", "delta"}), {}, _OSCILLATOR_STARTS,
         lambda model, cfg: AdiabaticEmbedding(model), oscillator_operator),
-    "cosmology": Model(lambda cfg: ClassicalHamiltonian(
-        kind="cosmology", gamma=cfg["gamma"], kappa=cfg["kappa"], E=cfg["E"]),
+    "cosmology": Model(lambda cfg: cosmology_hamiltonian(cfg["gamma"], cfg["kappa"], cfg["E"]),
         frozenset({"gamma", "kappa", "E", "ell", "g0", "g32", "g3"}), {"p0": 1.0},
         {"coherent": _cosmology_coherent, "moments": _moments}, None, None),
 }

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError, StateError
 from .hamiltonian import (
-    ClassicalHamiltonian,
     EquationSystem,
+    cosmology_hamiltonian,
     expand_quantum_hamiltonian,
     from_dimensionless,
     generate_eom,
@@ -328,36 +328,40 @@ def integrate(
     """Integrate the moment ODE system from the given initial state with
     ``dormand_prince``, sampled at ``n_samples`` equally spaced times.
 
-    A run that the cosmology p-guard or a step-size collapse stops early
-    returns the samples it reached as an incomplete trajectory (see
-    ``StepperRun.trajectory``); a non-finite sample raises DomainError.
+    A start outside the model's domain raises DomainError, and a coordinate
+    that the model raises to a non-integer power is guarded: the run stops
+    where it falls to 1e-6 of its start (at least 1e-12).  A run that a guard
+    or a step-size collapse stops early returns the samples it reached as an
+    incomplete trajectory (see ``StepperRun.trajectory``); a non-finite
+    sample raises DomainError.
     """
     if rtol <= 0 or atol <= 0:
         raise StateError("tolerances must be positive")
+    model = system.model
     if validate:
-        s0.validate(margin_tol=1e-9, scale=system.model.bracket_scale)
+        s0.validate(margin_tol=1e-9, scale=model.bracket_scale)
     rhs = system.compile(s0.hbar)
     y0 = system.pack(s0)
     finite = np.isfinite(y0)
     if not finite.all():
         bad = [lbl for lbl, ok in zip(system.labels(), finite) if not ok]
         raise DomainError(f"non-finite initial state: {', '.join(bad)}")
+    model.check_domain(s0.x)
     t_eval = np.linspace(t_span[0], t_span[1], n_samples)
 
-    p_guard = p_cause = None
-    if system.model.kind == "cosmology":
-        p_index = system.variables.index("p")
-        # stop before p reaches 0, where the p^{-1/2} terms diverge.  From p0 = 1
-        # only n_max 2 runs with c0 >= 1 reach this floor: at n_max >= 3, and
-        # for c0 < 0, the step size collapses first
-        p_floor = max(1e-12, 1e-6 * abs(y0[p_index]))
-        p_cause = f"cosmology p-guard: p fell to its floor {float(p_floor)!r}"
+    guard = cause = None
+    if domain := model.domain:
+        # stop before a guarded coordinate reaches 0, where its negative powers diverge
+        # (cosmology from p0 = 1 gets there only at n_max 2 with c0 >= 1; else the step collapses)
+        floors = [(system.variables.index(v), max(1e-12, 1e-6 * abs(s0.x[v]))) for v in domain]
+        cause = " or ".join(f"{model.name} {v}-guard: {v} fell to its floor {float(f)!r}"
+                            for v, (_, f) in zip(domain, floors))
 
-        def p_guard(y):
-            return y[p_index] - p_floor
+        def guard(y):
+            return min(y[i] - f for i, f in floors)
 
-    run = dormand_prince(rhs, y0, t_eval, rtol, atol, event=p_guard)
-    return run.trajectory(run.y, system.labels(), s0.hbar, rtol, atol, p_cause, system=system)
+    run = dormand_prince(rhs, y0, t_eval, rtol, atol, event=guard)
+    return run.trajectory(run.y, system.labels(), s0.hbar, rtol, atol, cause, system=system)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +539,7 @@ def cosmology_effective_rhs(params: CosmologyParams, c: float, p: float):
         4 + 2 * params.g0 + 2 * params.g32 * ex - 16 * params.g3 * ex**2
     )
 
-    model = ClassicalHamiltonian(
-        kind="cosmology", gamma=params.gamma, kappa=params.kappa, E=params.E
-    )
+    model = cosmology_hamiltonian(params.gamma, params.kappa, params.E)
     system = generate_eom(expand_quantum_hamiltonian(model, 2))
     state = SemiclassicalState(
         params.hbar, {"c": c, "p": p}, cosmology_moments(params, c, p), 2

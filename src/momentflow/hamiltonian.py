@@ -8,14 +8,15 @@ classical point, is a formal series
 truncated at a chosen moment order.  Its Hamiltonian flow under the moment
 Poisson algebra gives the equations of motion for (q, p) and all retained
 moments; moments above the truncation order are handled by a closure
-policy.  Single degree of freedom throughout.
+policy.  Every model is one ``Hamiltonian`` record, whose domain is read off
+its polynomial, and the equations are listed as JSON.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable
@@ -37,7 +38,9 @@ from .moment_algebra import (
 
 __all__ = [
     "PotentialSpec",
+    "Hamiltonian",
     "ClassicalHamiltonian",
+    "cosmology_hamiltonian",
     "QuantumHamiltonian",
     "expand_quantum_hamiltonian",
     "closure_apply",
@@ -78,46 +81,49 @@ class PotentialSpec:
 
 
 @dataclass
-class ClassicalHamiltonian:
-    """Oscillator family p^2/2m + (1/2) m w^2 q^2 + U(q), or the isotropic
-    cosmology Hamiltonian -3 c^2 sqrt(p) / (gamma^2 kappa) + E on the
-    canonical pair (c, p) with {c, p} = gamma kappa / 3."""
+class Hamiltonian:
+    """A model: its classical Hamiltonian ``poly`` on the canonical pair
+    ``xvars`` with {x, p} = ``bracket_scale``, and the ``name`` that
+    listings and domain errors give it."""
 
-    kind: str = "oscillator"
-    m: float = 1.0
-    omega: float = 1.0
-    potential: PotentialSpec = field(default_factory=PotentialSpec.zero)
-    gamma: float = 1.0
-    kappa: float = 1.0
-    E: float = 0.0
+    poly: MomentPolynomial
+    xvars: tuple[str, str] = ("q", "p")
+    bracket_scale: Fraction | float = Fraction(1)
+    name: str = "oscillator"
 
-    def __post_init__(self):
-        if self.kind not in ("oscillator", "cosmology"):
-            raise ConfigError(f"unknown Hamiltonian kind {self.kind!r}")
-        if self.kind == "oscillator" and self.m <= 0:
+    @property
+    def domain(self) -> tuple[str, ...]:
+        """The coordinates that ``poly`` raises to a non-integer power: each stays > 0."""
+        odd = {sym for _, x, _ in self.poly._terms for sym, e in x if type(e) is not int}
+        return tuple(v for v in self.xvars if v in odd)
+
+    def check_domain(self, x: dict[str, float]) -> None:
+        if out := [v for v in self.domain if x[v] <= 0]:
+            raise DomainError(f"{self.name} Hamiltonian needs {out[0]} > 0")
+
+
+class ClassicalHamiltonian(Hamiltonian):
+    """The oscillator p^2/2m + (1/2) m w^2 q^2 + U(q), keeping its parameters
+    for the closed forms and the oracle."""
+
+    def __init__(self, m: float = 1.0, omega: float = 1.0, potential: PotentialSpec | None = None):
+        if m <= 0:
             raise ConfigError("mass must be positive")
-        if self.kind == "cosmology" and self.gamma**2 * self.kappa == 0:
-            raise ConfigError(f"gamma^2 * kappa underflows to 0 (gamma = {self.gamma!r}, "
-                              f"kappa = {self.kappa!r})")
-
-    @property
-    def xvars(self) -> tuple[str, str]:
-        return ("q", "p") if self.kind == "oscillator" else ("c", "p")
-
-    @property
-    def bracket_scale(self) -> Fraction | float:
-        if self.kind == "oscillator":
-            return Fraction(1)
-        return self.gamma * self.kappa / 3.0
-
-    def as_polynomial(self) -> MomentPolynomial:
-        if self.kind == "cosmology":
-            coeff = -3.0 / (self.gamma**2 * self.kappa)
-            return MomentPolynomial.term(coeff, x={"c": 2, "p": Fraction(1, 2)}) + self.E
-        terms = [MomentPolynomial.term(Fraction(1, 2) * (1.0 / self.m), x={"p": 2}),
-                 MomentPolynomial.term(0.5 * self.m * self.omega**2, x={"q": 2})]
+        self.m, self.omega = m, omega
+        self.potential = PotentialSpec.zero() if potential is None else potential
+        terms = [MomentPolynomial.term(Fraction(1, 2) * (1.0 / m), x={"p": 2}),
+                 MomentPolynomial.term(0.5 * m * omega**2, x={"q": 2})]
         terms += [MomentPolynomial.term(c, x={"q": k}) for k, c in enumerate(self.potential.coefficients)]
-        return MomentPolynomial.sum(terms)
+        super().__init__(MomentPolynomial.sum(terms))
+
+
+def cosmology_hamiltonian(gamma: float = 1.0, kappa: float = 1.0, E: float = 0.0) -> Hamiltonian:
+    """The isotropic cosmology -3 c^2 sqrt(p) / (gamma^2 kappa) + E on the
+    canonical pair (c, p) with {c, p} = gamma kappa / 3."""
+    if gamma**2 * kappa == 0:
+        raise ConfigError(f"gamma^2 * kappa underflows to 0 (gamma = {gamma!r}, kappa = {kappa!r})")
+    poly = MomentPolynomial.term(-3.0 / (gamma**2 * kappa), x={"c": 2, "p": Fraction(1, 2)}) + E
+    return Hamiltonian(poly, ("c", "p"), gamma * kappa / 3.0, "cosmology")
 
 
 @dataclass
@@ -126,27 +132,25 @@ class QuantumHamiltonian:
 
     poly: MomentPolynomial
     n_max: int
-    model: ClassicalHamiltonian
+    model: Hamiltonian
 
     @property
     def xvars(self):
         return self.model.xvars
 
     def evaluate(self, state: SemiclassicalState) -> float:
-        if self.model.kind == "cosmology" and state.x["p"] <= 0:
-            raise DomainError("cosmology Hamiltonian needs p > 0")
+        self.model.check_domain(state.x)
         return self.poly.evaluate(state)
 
 
-def expand_quantum_hamiltonian(H: ClassicalHamiltonian, n_max: int) -> QuantumHamiltonian:
+def expand_quantum_hamiltonian(H: Hamiltonian, n_max: int) -> QuantumHamiltonian:
     """Taylor-expand <H> around the classical point, truncating at n_max."""
     if n_max < 2:
         raise ConfigError("n_max must be at least 2")
     qv, pv = H.xvars
-    base = H.as_polynomial()
-    terms = [base]
+    terms = [H.poly]
     # mixed partials: partials[a] after n passes holds d^n H / dp^a dq^{n-a}
-    partials = [base]
+    partials = [H.poly]
     for n in range(1, n_max + 1):
         partials = [partials[0].diff_x(qv)] + [d.diff_x(pv) for d in partials]
         if n >= 2:
@@ -194,7 +198,7 @@ class EquationSystem:
     xvars: tuple[str, str]
     moment_vars: list[MomentIndex]
     rhs: dict[object, MomentPolynomial]
-    model: ClassicalHamiltonian
+    model: Hamiltonian
     n_max: int
     closure: str
 
@@ -267,13 +271,6 @@ class EquationSystem:
 
     # -- listings ----------------------------------------------------------
 
-    def listing_text(self) -> str:
-        lines = [f"# model={self.model.kind} n_max={self.n_max} closure={self.closure}"]
-        for var in self.variables:
-            body = self.rhs[var].to_text().replace("\n", " + ")
-            lines.append(f"d/dt {var} = {body}")
-        return "\n".join(lines)
-
     def listing_json(self) -> str:
         """The equations as JSON text: ``meta`` (model, n_max, closure) and,
         per variable, its sorted terms, each with ``coeff`` (a Fraction as a
@@ -296,7 +293,7 @@ class EquationSystem:
                 terms.append(f'{{\n          "coeff": {coeff},\n          "hbar_power": {esc(str(h))},'
                              f'\n          "moments": {moments},\n          "x": {xs}\n        }}')
             eqs.append(f'{{\n      "terms": {_json_list(terms, 8)},\n      "variable": {esc(str(var))}\n    }}')
-        meta = json.dumps({"model": self.model.kind, "n_max": self.n_max, "closure": self.closure},
+        meta = json.dumps({"model": self.model.name, "n_max": self.n_max, "closure": self.closure},
                           indent=2, sort_keys=True).replace("\n", "\n  ")
         return f'{{\n  "equations": {_json_list(eqs, 4)},\n  "meta": {meta}\n}}'
 

@@ -679,6 +679,20 @@ def test_simulate_cosmology_honours_a_moments_start(tmp_path):
     assert dict(zip(header, map(float, first))) == {"t": 0.0, "c": -0.5, "p": 1.0, **values}
 
 
+@pytest.mark.parametrize("p0", [-1.0, 0.0])
+def test_simulate_cosmology_refuses_a_start_at_p_le_0(tmp_path, capsys, p0):
+    # a start outside the model's domain is refused before the first step,
+    # with H_Q's own domain error, and nothing is written
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "model": "cosmology", "n_max": 2,
+        "initial": {"kind": "moments", "q0": -0.5, "p0": p0,
+                    "values": {"G_0_2": 1, "G_2_2": 1}}}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "domain error: cosmology Hamiltonian needs p > 0\n"
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_simulate_divergence_writes_partial_on_requested_grid(tmp_path, capsys):
     # the truncated quartic system with delta = -5 diverges at t = 1.72752;
     # the partial CSV holds the requested samples up to there, and the

@@ -18,6 +18,7 @@ from momentflow.errors import DomainError, RangeError, StateError
 from momentflow.hamiltonian import (
     ClassicalHamiltonian,
     PotentialSpec,
+    cosmology_hamiltonian,
     expand_quantum_hamiltonian,
     from_dimensionless,
     generate_eom,
@@ -119,7 +120,7 @@ def test_integrate_bit_identical_to_solve_ivp(model, n_max, backward):
 
 
 def _cosmology_collapse():
-    model = ClassicalHamiltonian(kind="cosmology", gamma=1.0, kappa=1.0, E=1.0)
+    model = cosmology_hamiltonian(gamma=1.0, kappa=1.0, E=1.0)
     system = generate_eom(expand_quantum_hamiltonian(model, 2))
     s0 = SemiclassicalState(1e-6, {"c": -0.5, "p": 1.0}, {G(a, 2): 0.0 for a in range(3)}, 2)
     return dyn.integrate(system, s0, (0.0, 100.0), validate=False)
@@ -371,7 +372,7 @@ def test_cosmology_uncertainty_margin_rejects_c_zero():
 
 
 def _cosmology_order2_state(gamma, kappa, g02, g12, g22):
-    model = ClassicalHamiltonian(kind="cosmology", gamma=gamma, kappa=kappa, E=1.0)
+    model = cosmology_hamiltonian(gamma=gamma, kappa=kappa, E=1.0)
     s0 = SemiclassicalState(1.0, {"c": -0.5, "p": 1.0}, {G(0, 2): g02, G(1, 2): g12, G(2, 2): g22}, 2)
     return generate_eom(expand_quantum_hamiltonian(model, 2)), s0
 
@@ -396,7 +397,7 @@ def test_moment_margin_is_the_cosmology_margin(gamma, kappa, hbar, c, p, g0, g32
     # terms, as the margin may cancel them
     params = dyn.CosmologyParams(gamma=gamma, kappa=kappa, hbar=hbar, g0=g0, g32=g32, g3=g3)
     s0 = SemiclassicalState(hbar, {"c": c, "p": p}, dyn.cosmology_moments(params, c, p), 2)
-    scale = ClassicalHamiltonian(kind="cosmology", gamma=gamma, kappa=kappa).bracket_scale
+    scale = cosmology_hamiltonian(gamma=gamma, kappa=kappa).bracket_scale
     margin = check_uncertainty_order2(s0, scale)
     expected = 9 * params._e3x2(c, p) ** 2 * c**2 * p**2 * params.uncertainty_margin(c, p)
     terms = abs(s0.G(0, 2) * s0.G(2, 2)) + s0.G(1, 2) ** 2 + (hbar * scale) ** 2 / 4
@@ -448,7 +449,7 @@ def test_cosmology_moment_rates_vs_direct():
 def test_cosmology_collapse_hits_guard():
     # zero moments: the classical collapse runs p down to the relative floor
     params = dyn.CosmologyParams(hbar=1e-6)
-    model = ClassicalHamiltonian(kind="cosmology", gamma=1.0, kappa=1.0, E=1.0)
+    model = cosmology_hamiltonian(gamma=1.0, kappa=1.0, E=1.0)
     system = generate_eom(expand_quantum_hamiltonian(model, 2))
     s0 = SemiclassicalState(
         1e-6, {"c": -0.5, "p": 1.0}, {G(a, 2): 0.0 for a in range(3)}, 2
@@ -462,7 +463,7 @@ def test_cosmology_backreaction_failure_is_flagged():
     # growing n = 2 moments make collapse integration fail before p -> 0;
     # the failure must surface as a diagnosable error, not silent garbage
     params = dyn.CosmologyParams(g0=1.0, g32=0.0, g3=1.0, hbar=1.0)
-    model = ClassicalHamiltonian(kind="cosmology", gamma=1.0, kappa=1.0, E=1.0)
+    model = cosmology_hamiltonian(gamma=1.0, kappa=1.0, E=1.0)
     system = generate_eom(expand_quantum_hamiltonian(model, 2))
     c0, p0 = -0.5, 1.0
     s0 = SemiclassicalState(1.0, {"c": c0, "p": p0}, dyn.cosmology_moments(params, c0, p0), 2)
