@@ -19,11 +19,13 @@ moments are their binomial shift (``_central_poly``), so no centred
 operator is ever built.
 
 Each ``FockSpace`` also keeps a table for one state, the last one asked
-about (``FockSpace.state_table``): each W psi, <W>, commutator entry and
-``_poly_grad`` result is computed once per state, and ``moments_of``,
-``bracket_oracle`` and ``rates_of`` share it.  The table is keyed by the
-content of psi and holds a private copy of it, so a psi changed in place
-gets a fresh table, never stale values.  Like the RHS that
+about (``FockSpace.state_table``): each W psi, <W> and gradient is
+computed once per state, and so is each bracket order's commutator
+matrix, every entry <[A, B]>/(i hbar) among the raw W of orders 1..n
+from one matrix product.  ``moments_of``, ``bracket_oracle`` and
+``rates_of`` share the table.  It is keyed by the content of psi and
+holds a private copy of it, so a psi changed in place gets a fresh
+table, never stale values.  Like the RHS that
 ``EquationSystem.compile`` returns, a space is not safe to share across
 threads.
 
@@ -45,7 +47,7 @@ import numpy as np
 from numpy.polynomial import hermite as np_hermite
 
 from .errors import CapacityError, DomainError, RangeError, ReconstructionError, StateError
-from .moment_algebra import MomentIndex, SemiclassicalState, moment_vars
+from .moment_algebra import MomentIndex, SemiclassicalState, moment_indices, moment_vars
 
 __all__ = [
     "FockSpace",
@@ -160,13 +162,15 @@ class FockSpace:
 
 class _StateTable:
     """Raw Weyl data of one state, each entry computed once: W psi and <W>
-    by W key, commutator entries by ordered pair of W keys, and
-    ``_poly_grad`` results by index.  It refers to no ``FockSpace``, so
-    reference counting alone frees a space."""
+    by W key, the commutator matrix of ``bracket_oracle`` by bracket order
+    n, and each bracket label's gradient over the W keys of its order.  A
+    matrix depends only on psi and n, never on what the table held before.
+    It refers to no ``FockSpace``, so reference counting alone frees a
+    space."""
 
     def __init__(self, key, psi: np.ndarray):
         self.key, self.psi = key, psi
-        self.applied, self.values, self.brackets, self.grads = {}, {}, {}, {}
+        self.applied, self.values, self.commutators, self.grads = {}, {}, {}, {}
 
 
 def weyl_op(j: int, k: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -301,6 +305,28 @@ def _poly_grad(terms, values):
     return grad
 
 
+@lru_cache(maxsize=None)
+def _weyl_keys(n: int, dof: int) -> dict[_WKey, int]:
+    """Position of every raw W key of total order 1..n, in the order of
+    ``moment_indices`` for m = 1..n: the W key of order m is the (q, p)
+    powers of an index of order m.  The keys of a lower order are a prefix.
+    Cached; do not modify."""
+    keys = (tuple(zip(idx.q_powers, idx.p_powers)) for m in range(1, n + 1) for idx in moment_indices(m, dof))
+    return {wk: i for i, wk in enumerate(keys)}
+
+
+def _label_order(idx, dof: int) -> int:
+    """Order of a bracket label: a moment index of ``dof`` DOFs, or a
+    classical coordinate named as ``moments_of`` names it (order 1)."""
+    if isinstance(idx, MomentIndex):
+        if idx.dof == dof:
+            return idx.order
+        raise RangeError(f"{idx} is a {idx.dof}-DOF moment, not one of a {dof}-DOF space")
+    if idx in _coordinates(dof):
+        return 1
+    raise RangeError(f"{idx!r} names no classical coordinate of a {dof}-DOF space")
+
+
 def bracket_oracle(i1, i2, psi: np.ndarray, space: FockSpace) -> float:
     """{G_{i1}, G_{i2}} evaluated exactly on the state psi.
 
@@ -308,32 +334,41 @@ def bracket_oracle(i1, i2, psi: np.ndarray, space: FockSpace) -> float:
     two expectation-value functions is <[A, B]>/(i hbar), and moment
     functions are polynomials in the W_A.  Either index may instead name a
     classical coordinate as ``moments_of`` does, "q"/"p" at one DOF and
-    "q0".."p1" at two; any other name raises RangeError.  Gradients and
-    commutator entries are computed once per state, in the space's table.
-    """
-    table = space.state_table(psi)
-    grads = []
-    for idx in (i1, i2):
-        if idx not in table.grads:
-            if isinstance(idx, MomentIndex):
-                poly = _central_poly(idx)
-            elif (wk := _coordinates(space.dof).get(idx)) is not None:
-                poly = {(wk,): 1.0}
-            else:
-                raise RangeError(f"{idx!r} names no classical coordinate of a {space.dof}-DOF space")
-            space.state_table(psi, {wk for mono in poly for wk in mono})
-            table.grads[idx] = _poly_grad(poly, table.values)
-        grads.append(table.grads[idx])
+    "q0".."p1" at two; any other name, or a moment index of another DOF
+    count, raises RangeError.
 
-    total, pbs, applied = 0.0, table.brackets, table.applied
-    for wa, ga in grads[0].items():
-        for wb, gb in grads[1].items():
-            pb = pbs.get((wa, wb))
-            if pb is None:
-                # <[A,B]>/(i hbar) = 2 Im <A psi, B psi> / hbar for Hermitian A, B
-                pb = pbs[wa, wb] = 2.0 * np.imag(np.vdot(applied[wa], applied[wb])) / space.hbar
-            total += ga * gb * pb
-    return total
+    With n the larger order of the two labels, the commutator entries of
+    all raw W of orders 1..n come from one matrix product of the stacked
+    W psi (the rows of S), PB_n = 2 Im(S^* S^T)/hbar, and the bracket is
+    g1 . PB_n . g2 over the labels' gradients.  PB_n and the gradients are
+    computed once per state, in the space's table.
+    """
+    dof = space.dof
+    o1, o2 = _label_order(i1, dof), _label_order(i2, dof)
+    n = max(o1, o2, 1)
+    table = space.state_table(psi)
+    pb = table.commutators.get(n)
+    if pb is None:
+        keys = _weyl_keys(n, dof)
+        space.state_table(psi, keys)
+        stacked = np.array([table.applied[wk] for wk in keys])
+        # <[A,B]>/(i hbar) = 2 Im <A psi, B psi> / hbar for Hermitian A, B
+        pb = table.commutators[n] = 2.0 * (stacked.conj() @ stacked.T).imag / space.hbar
+    g1, g2 = _grad_vector(i1, o1, table, dof), _grad_vector(i2, o2, table, dof)
+    return g1 @ pb[: g1.size, : g2.size] @ g2
+
+
+def _grad_vector(idx, order: int, table: _StateTable, dof: int) -> np.ndarray:
+    """The gradient of a bracket label over the W keys of orders 1..order,
+    from the table's <W>; computed once per state."""
+    grad = table.grads.get(idx)
+    if grad is None:
+        poly = _central_poly(idx) if isinstance(idx, MomentIndex) else {(_coordinates(dof)[idx],): 1.0}
+        position = _weyl_keys(order, dof)
+        grad = table.grads[idx] = np.zeros(len(position))
+        for wk, g in _poly_grad(poly, table.values).items():
+            grad[position[wk]] = g
+    return grad
 
 
 def rates_of(psi: np.ndarray, space: FockSpace, H_op: np.ndarray, n_max: int) -> dict:

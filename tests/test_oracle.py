@@ -310,6 +310,23 @@ def test_bracket_oracle_reads_the_coordinate_names(rng):
         orc.bracket_oracle(G(0, 2), "q0", orc.random_state(rng, 20, support=5), orc.FockSpace(20))
 
 
+@pytest.mark.filterwarnings("ignore:D=16 is small")
+def test_bracket_oracle_refuses_a_moment_of_another_dof(rng):
+    # a 1-DOF index on a 2-DOF space once died with IndexError, and a 2-DOF
+    # index on a 1-DOF space dropped its second mode: {G_2_0_0_0, G_0_0_0_2}
+    # read about 1e-16 on FockSpace(20)
+    space2, psi2 = orc.FockSpace(16, dof=2), _kron_state(rng, 16, 7)
+    with pytest.raises(RangeError, match="G_0_2 is a 1-DOF moment, not one of a 2-DOF space"):
+        orc.bracket_oracle(G(0, 2), "q0", psi2, space2)
+    with pytest.raises(RangeError, match="G_0_2 is a 1-DOF"):
+        orc.bracket_oracle(MomentIndex((1, 0), (0, 1)), G(0, 2), psi2, space2)
+    space1, psi1 = orc.FockSpace(20), orc.random_state(rng, 20, support=5)
+    for i1, i2 in [(MomentIndex((2, 0), (0, 0)), MomentIndex((0, 0), (0, 2))),
+                   (G(0, 2), MomentIndex((0, 0), (0, 2)))]:
+        with pytest.raises(RangeError, match="is a 2-DOF moment, not one of a 1-DOF space"):
+            orc.bracket_oracle(i1, i2, psi1, space1)
+
+
 def _kron_state(rng, D, support):
     """An entangled two-mode state, as A1 draws them."""
     parts = [orc.random_state(rng, D, support=support) for _ in range(4)]
@@ -330,7 +347,7 @@ def _assert_same_bracket(i1, i2, psi, space):
 @pytest.mark.parametrize("dof", [1, 2])
 def test_state_table_equals_per_call_reference(dof):
     # the per-state table returns the floats that recomputing every Weyl
-    # vector, gradient and commutator entry per call gives, bit for bit:
+    # vector, gradient and commutator matrix per call gives, bit for bit:
     # two states alternating on one space, moments_of before and after
     # bracket_oracle, and psi changed in place between calls
     rng = np.random.default_rng(70 + dof)
@@ -357,6 +374,53 @@ def test_state_table_equals_per_call_reference(dof):
             _assert_same_bracket(i1, i2, psi, space)
         _assert_same_moments(psi, space, 2)
         psi[step] += 0.25 - 0.5j  # in place: the space must not serve the old table
+
+
+@pytest.mark.filterwarnings("ignore:D=16 is small")
+@pytest.mark.parametrize("dof", [1, 2])
+def test_commutator_matrix_agrees_with_pairwise_entries(dof):
+    # the matrix form against one np.vdot per commutator entry and the
+    # double loop over the gradients, on every pair a <= b of moment and
+    # coordinate labels; the scale is the largest Cauchy-Schwarz bound of
+    # a term, which the largest term reaches where the bracket does not
+    # cancel, and which stays the round-off scale where it vanishes
+    rng = np.random.default_rng(80 + dof)
+    if dof == 1:
+        space, psi = orc.FockSpace(60), orc.random_state(rng, 60, support=20)
+        labels = [*moment_vars(4, 1), "q", "p"]
+    else:
+        space, psi = orc.FockSpace(16, dof=2), _kron_state(rng, 16, 7)
+        labels = [*moment_vars(3, 2)[::2], "q0", "p0", "q1", "p1"]
+    for a, i1 in enumerate(labels):
+        for i2 in labels[a:]:
+            terms, bounds = per_call.bracket_terms_pairwise(i1, i2, psi, space)
+            got = orc.bracket_oracle(i1, i2, psi, space)
+            assert abs(got - sum(terms, 0.0)) <= 1e-12 * max(bounds), (i1, i2)
+
+
+@pytest.mark.filterwarnings("ignore:D=16 is small")
+@pytest.mark.parametrize("dof", [1, 2])
+def test_bracket_oracle_does_not_depend_on_what_the_table_holds(dof):
+    # each pair's float is the same whether it is asked first, after
+    # moments_of at a higher order, or after a pair of a higher order: the
+    # commutator matrix of order n is built from the keys of orders 1..n
+    # alone, since the leading block of a larger one differs in round-off
+    rng = np.random.default_rng(90 + dof)
+    if dof == 1:
+        make, psi, top = (lambda: orc.FockSpace(60)), orc.random_state(rng, 60, support=20), 6
+        labels, higher = [*moment_vars(4, 1), "q", "p"], (G(0, 5), "q")
+    else:
+        make, psi, top = (lambda: orc.FockSpace(16, dof=2)), _kron_state(rng, 16, 7), 4
+        labels, higher = [*moment_vars(3, 2)[::2], "q0", "p1"], (MomentIndex((2, 0), (1, 1)), "p0")
+    pairs = [(i1, i2) for a, i1 in enumerate(labels) for i2 in labels[a:]]
+    first = [orc.bracket_oracle(i1, i2, psi, make()) for i1, i2 in pairs]
+    space = make()
+    orc.moments_of(psi, space, top)
+    after_moments = [orc.bracket_oracle(i1, i2, psi, space) for i1, i2 in pairs]
+    space = make()
+    orc.bracket_oracle(*higher, psi, space)
+    after_higher = [orc.bracket_oracle(i1, i2, psi, space) for i1, i2 in pairs]
+    assert first == after_moments == after_higher
 
 
 def test_fock_space_is_freed_without_the_cycle_collector(rng):
